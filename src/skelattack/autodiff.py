@@ -13,7 +13,7 @@ Distinct graphs share no mutable state and may live on distinct threads.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -46,10 +46,14 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
-    def accumulate(self, g: np.ndarray) -> None:
+    def accumulate(self, g: np.ndarray, index=None) -> None:
+        """Add `g` onto the adjoint, or onto its `index` part only."""
         if self.grad is None:
             self.grad = np.zeros_like(self.value)
-        self.grad += g
+        if index is None:
+            self.grad += g
+        else:
+            self.grad[index] += g
 
     def __repr__(self) -> str:
         return f"Tensor(op={self.op!r}, shape={self.value.shape})"
@@ -258,18 +262,13 @@ def slice_axis(a: Tensor, start: int, stop: int, axis: int = 0) -> Tensor:
     extent = va.shape[axis]
     if not (0 <= start < stop <= extent):
         raise ValueError(f"slice: range [{start}, {stop}) invalid for extent {extent}")
-    view = va[start:stop] if axis == 0 else va[:, start:stop]
+    index = (slice(start, stop),) if axis == 0 else (slice(None), slice(start, stop))
 
     def backward_fn(g):
         if a.requires_grad:
-            full = np.zeros_like(va)
-            if axis == 0:
-                full[start:stop] = g
-            else:
-                full[:, start:stop] = g
-            a.accumulate(full)
+            a.accumulate(g, index)
 
-    return _result(view.copy(), "slice", (a,), backward_fn)
+    return _result(va[index].copy(), "slice", (a,), backward_fn)
 
 
 def causal_conv1d(x: Tensor, w: Tensor, dilation: int = 1) -> Tensor:
@@ -308,34 +307,68 @@ def causal_conv1d(x: Tensor, w: Tensor, dilation: int = 1) -> Tensor:
     return _result(out, "causal_conv1d", (x, w), backward_fn)
 
 
-# ---------------------------------------------------------------------------
-# generic dispatch, used by gradient-check harnesses that sweep all op kinds
+def gru_layer(xp: Tensor, u: Tensor, bh: Tensor) -> Tensor:
+    """One gated recurrent layer run over a whole sequence (Cho et al. 2014).
 
-OP_BUILDERS: dict[str, Callable[[list[Tensor], dict], Tensor]] = {
-    "add": lambda ins, at: add(ins[0], ins[1]),
-    "subtract": lambda ins, at: subtract(ins[0], ins[1]),
-    "scalar_multiply": lambda ins, at: scalar_multiply(ins[0], at["scalar"]),
-    "multiply": lambda ins, at: multiply(ins[0], ins[1]),
-    "matmul": lambda ins, at: matmul(ins[0], ins[1]),
-    "concat_time": lambda ins, at: concat_time(ins),
-    "slice": lambda ins, at: slice_axis(ins[0], at["start"], at["stop"], at.get("axis", 0)),
-    "relu": lambda ins, at: relu(ins[0]),
-    "tanh": lambda ins, at: tanh(ins[0]),
-    "sigmoid": lambda ins, at: sigmoid(ins[0]),
-    "causal_conv1d": lambda ins, at: causal_conv1d(ins[0], ins[1], at.get("dilation", 1)),
-    "sum_reduce": lambda ins, at: sum_reduce(ins[0]),
-    "l2_norm": lambda ins, at: l2_norm(ins[0], at.get("axis", -1)),
-    "absolute": lambda ins, at: absolute(ins[0]),
-}
+    xp is the projected input (T, 3H) in blocks [z | r | n], u the
+    recurrent weight (H, 3H) and bh its bias (3H,).  From h = 0, frame t
+    computes
 
+        hu = h u + bh
+        z, r = sigmoid(xp_t[:2H] + hu[:2H])
+        n = tanh(xp_t[2H:] + r * hu[2H:])
+        h = (1 - z) * n + z * h
 
-def forward_op(kind: str, inputs: Iterable[Tensor], attrs: dict | None = None) -> Tensor:
-    """Build the node for `kind`; raises on unknown kinds or bad shapes."""
-    try:
-        builder = OP_BUILDERS[kind]
-    except KeyError:
-        raise ValueError(f"unknown op kind: {kind!r}") from None
-    return builder(list(inputs), attrs or {})
+    and the output is the sequence of states h (T, H).  Backward runs the
+    recurrence from the last frame to the first (backpropagation through
+    time) and carries only the state's adjoint between frames.
+    """
+    vx, vu, vb = xp.value, u.value, bh.value
+    hidden = vx.shape[1] // 3 if vx.ndim == 2 else 0
+    if (hidden < 1 or vx.shape[0] < 1 or vx.shape[1] != 3 * hidden
+            or vu.shape != (hidden, 3 * hidden) or vb.shape != (3 * hidden,)):
+        raise ShapeError("gru_layer", vx.shape, vu.shape, vb.shape)
+    frames, two = vx.shape[0], 2 * hidden
+    out = np.empty((frames, hidden))
+    zr = np.empty((frames, two))
+    n = np.empty((frames, hidden))
+    hn = np.empty((frames, hidden))  # h u_n + c_n, the term r gates
+    h = np.zeros((1, hidden))
+    for t in range(frames):
+        # a one-row einsum per frame keeps frame t's arithmetic independent
+        # of the frames after it, as matmul does for whole sequences
+        hu = np.einsum("ij,jk->ik", h, vu) + vb
+        zr[t] = 1.0 / (1.0 + np.exp(-(vx[t, :two] + hu[0, :two])))
+        z, r = zr[t, :hidden], zr[t, hidden:]
+        hn[t] = hu[0, two:]
+        n[t] = np.tanh(vx[t, two:] + r * hn[t])
+        h = (1.0 - z) * n[t] + z * h
+        out[t] = h
+
+    def backward_fn(g):
+        dxp = np.empty_like(vx)
+        dhu = np.empty_like(vx)  # adjoint of h u + bh, per frame
+        dh = np.zeros(hidden)
+        for t in range(frames - 1, -1, -1):
+            dh = dh + g[t]
+            z, r = zr[t, :hidden], zr[t, hidden:]
+            h_prev = out[t - 1] if t else 0.0
+            dn = dh * (1.0 - z) * (1.0 - n[t] * n[t])
+            dxp[t, :hidden] = dh * (h_prev - n[t]) * z * (1.0 - z)
+            dxp[t, hidden:two] = dn * hn[t] * r * (1.0 - r)
+            dxp[t, two:] = dn
+            dhu[t, :two] = dxp[t, :two]
+            dhu[t, two:] = dn * r
+            dh = dh * z + vu @ dhu[t]
+        if xp.requires_grad:
+            xp.accumulate(dxp)
+        if u.requires_grad:
+            # the initial state is zero, so frame 0 adds nothing to du
+            u.accumulate(out[:-1].T @ dhu[1:])
+        if bh.requires_grad:
+            bh.accumulate(dhu.sum(axis=0))
+
+    return _result(out, "gru_layer", (xp, u, bh), backward_fn)
 
 
 # ---------------------------------------------------------------------------

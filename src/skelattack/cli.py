@@ -374,8 +374,8 @@ def _sequence_csv(flat: list[list[float]] | np.ndarray) -> str:
     lines = ["frame,joint,x,y,depth"]
     for t in range(seq.num_frames):
         for j in range(seq.num_joints):
-            x, y, d = seq.joints[t, j]
-            lines.append(f"{t},{j},{x!r},{y!r},{d!r}")
+            x, y, d = (repr(float(v)) for v in seq.joints[t, j])
+            lines.append(f"{t},{j},{x},{y},{d}")
     return "\n".join(lines) + "\n"
 
 

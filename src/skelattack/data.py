@@ -93,6 +93,8 @@ class SkeletonSequence:
         return SkeletonSequence(self.joints.copy())
 
     def validate_ranges(self) -> None:
+        if not np.all(np.isfinite(self.joints)):
+            raise ValidationError("non-finite coordinate")
         x, y, d = self.joints[..., 0], self.joints[..., 1], self.joints[..., 2]
         for name, vals, (lo, hi) in (("x", x, X_RANGE), ("y", y, Y_RANGE),
                                      ("depth", d, DEPTH_RANGE)):

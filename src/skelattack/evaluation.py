@@ -291,19 +291,22 @@ def save_sweep(report: SweepReport, path) -> None:
 
 def load_sweep(path) -> SweepReport:
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    objectives = [
-        Objective(label=o["label"],
-                  target=SkeletonSequence.from_flat(np.array(o["target"])),
-                  kappa=o["kappa"])
-        for o in payload["objectives"]
-    ]
-    report = SweepReport(model_id=payload["model_id"],
-                         epsilon_grid=payload["epsilon_grid"],
-                         objectives=objectives)
-    for c in payload["cells"]:
-        report.cells.append(CellResult(
-            objective=c["objective"], epsilon=c["epsilon"], kappa=c["kappa"],
-            flags=[bool(f) for f in c["flags"]], sums=c["sums"],
-            adversarial=[np.array(a, dtype=np.float64) for a in c["adversarial"]]))
+        try:
+            payload = json.load(fh)
+            objectives = [
+                Objective(label=o["label"],
+                          target=SkeletonSequence.from_flat(np.array(o["target"])),
+                          kappa=o["kappa"])
+                for o in payload["objectives"]
+            ]
+            report = SweepReport(model_id=payload["model_id"],
+                                 epsilon_grid=payload["epsilon_grid"],
+                                 objectives=objectives)
+            for c in payload["cells"]:
+                report.cells.append(CellResult(
+                    objective=c["objective"], epsilon=c["epsilon"], kappa=c["kappa"],
+                    flags=[bool(f) for f in c["flags"]], sums=c["sums"],
+                    adversarial=[np.array(a, dtype=np.float64) for a in c["adversarial"]]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise EvaluationError(f"malformed sweep file {path}: {exc!r}") from None
     return report

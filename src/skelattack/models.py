@@ -104,9 +104,21 @@ class SequenceRegressor:
 
     arch = "base"
 
-    def __init__(self, config, params: dict[str, np.ndarray]):
+    def __init__(self, config, seed: int = 0,
+                 params: dict[str, np.ndarray] | None = None):
         self.config = config
-        self.params = params
+        self.params = self._init_params(config, seed) if params is None else params
+
+    @staticmethod
+    def param_specs(cfg) -> dict[str, tuple[tuple[int, ...], int]]:
+        """Name -> (shape, fan-in) of every parameter; fan-in 0 means zeros."""
+        raise NotImplementedError
+
+    @classmethod
+    def _init_params(cls, cfg, seed: int) -> dict[str, np.ndarray]:
+        rng = np.random.default_rng(seed)
+        return {name: _uniform_init(rng, shape, fan_in) if fan_in else np.zeros(shape)
+                for name, (shape, fan_in) in cls.param_specs(cfg).items()}
 
     @property
     def in_dim(self) -> int:
@@ -138,27 +150,20 @@ class SequenceRegressor:
 class TcnRegressor(SequenceRegressor):
     arch = "tcn"
 
-    def __init__(self, config: TcnConfig, seed: int = 0,
-                 params: dict[str, np.ndarray] | None = None):
-        if params is None:
-            params = self._init_params(config, seed)
-        super().__init__(config, params)
-
     @staticmethod
-    def _init_params(cfg: TcnConfig, seed: int) -> dict[str, np.ndarray]:
-        rng = np.random.default_rng(seed)
-        params: dict[str, np.ndarray] = {}
+    def param_specs(cfg: TcnConfig) -> dict[str, tuple[tuple[int, ...], int]]:
+        specs = {}
         c_in = cfg.in_dim
         for i in range(cfg.hidden_layers):
             k = cfg.kernel_width
-            params[f"conv{i}_w"] = _uniform_init(rng, (k, c_in, cfg.channels), k * c_in)
-            params[f"conv{i}_b"] = np.zeros(cfg.channels)
+            specs[f"conv{i}_w"] = ((k, c_in, cfg.channels), k * c_in)
+            specs[f"conv{i}_b"] = ((cfg.channels,), 0)
             if c_in != cfg.channels:
-                params[f"proj{i}_w"] = _uniform_init(rng, (c_in, cfg.channels), c_in)
+                specs[f"proj{i}_w"] = ((c_in, cfg.channels), c_in)
             c_in = cfg.channels
-        params["head_w"] = _uniform_init(rng, (cfg.channels, cfg.in_dim), cfg.channels)
-        params["head_b"] = np.zeros(cfg.in_dim)
-        return params
+        specs["head_w"] = ((cfg.channels, cfg.in_dim), cfg.channels)
+        specs["head_b"] = ((cfg.in_dim,), 0)
+        return specs
 
     def build_graph(self, x: ad.Tensor, pt: dict[str, ad.Tensor]) -> ad.Tensor:
         cfg = self.config
@@ -176,49 +181,25 @@ class TcnRegressor(SequenceRegressor):
 class GruRegressor(SequenceRegressor):
     arch = "gru"
 
-    def __init__(self, config: GruConfig, seed: int = 0,
-                 params: dict[str, np.ndarray] | None = None):
-        if params is None:
-            params = self._init_params(config, seed)
-        super().__init__(config, params)
-
     @staticmethod
-    def _init_params(cfg: GruConfig, seed: int) -> dict[str, np.ndarray]:
-        rng = np.random.default_rng(seed)
-        params: dict[str, np.ndarray] = {}
+    def param_specs(cfg: GruConfig) -> dict[str, tuple[tuple[int, ...], int]]:
+        specs = {}
         c_in = cfg.in_dim
         for i, hidden in enumerate(cfg.layer_sizes()):
-            params[f"gru{i}_w"] = _uniform_init(rng, (c_in, 3 * hidden), c_in)
-            params[f"gru{i}_u"] = _uniform_init(rng, (hidden, 3 * hidden), hidden)
-            params[f"gru{i}_bi"] = np.zeros(3 * hidden)
-            params[f"gru{i}_bh"] = np.zeros(3 * hidden)
+            specs[f"gru{i}_w"] = ((c_in, 3 * hidden), c_in)
+            specs[f"gru{i}_u"] = ((hidden, 3 * hidden), hidden)
+            specs[f"gru{i}_bi"] = ((3 * hidden,), 0)
+            specs[f"gru{i}_bh"] = ((3 * hidden,), 0)
             c_in = hidden
-        params["head_w"] = _uniform_init(rng, (c_in, cfg.in_dim), c_in)
-        params["head_b"] = np.zeros(cfg.in_dim)
-        return params
+        specs["head_w"] = ((c_in, cfg.in_dim), c_in)
+        specs["head_b"] = ((cfg.in_dim,), 0)
+        return specs
 
     def build_graph(self, x: ad.Tensor, pt: dict[str, ad.Tensor]) -> ad.Tensor:
-        frames = x.value.shape[0]
         h_seq = x
-        for i, hidden in enumerate(self.config.layer_sizes()):
-            # project the whole input sequence at once; recurrence stays per step
+        for i in range(len(self.config.layer_sizes())):
             xp = ad.add(ad.matmul(h_seq, pt[f"gru{i}_w"]), pt[f"gru{i}_bi"])
-            ones = ad.Tensor(np.ones((1, hidden)))
-            h = ad.Tensor(np.zeros((1, hidden)))
-            outs = []
-            for t in range(frames):
-                xp_t = ad.slice_axis(xp, t, t + 1, axis=0)
-                hu = ad.add(ad.matmul(h, pt[f"gru{i}_u"]), pt[f"gru{i}_bh"])
-                zr = ad.sigmoid(ad.add(ad.slice_axis(xp_t, 0, 2 * hidden, axis=1),
-                                       ad.slice_axis(hu, 0, 2 * hidden, axis=1)))
-                z = ad.slice_axis(zr, 0, hidden, axis=1)
-                r = ad.slice_axis(zr, hidden, 2 * hidden, axis=1)
-                n = ad.tanh(ad.add(
-                    ad.slice_axis(xp_t, 2 * hidden, 3 * hidden, axis=1),
-                    ad.multiply(r, ad.slice_axis(hu, 2 * hidden, 3 * hidden, axis=1))))
-                h = ad.add(ad.multiply(ad.subtract(ones, z), n), ad.multiply(z, h))
-                outs.append(h)
-            h_seq = ad.concat_time(outs)
+            h_seq = ad.gru_layer(xp, pt[f"gru{i}_u"], pt[f"gru{i}_bh"])
         return ad.add(ad.matmul(h_seq, pt["head_w"]), pt["head_b"])
 
 
@@ -331,16 +312,24 @@ def load_model(path, expected_arch: str | None = None) -> SequenceRegressor:
     if expected_arch is not None and arch != expected_arch:
         raise CheckpointError(
             f"checkpoint holds a {arch!r} model, expected {expected_arch!r}")
+    classes = {"tcn": (TcnRegressor, TcnConfig), "gru": (GruRegressor, GruConfig)}
+    if arch not in classes:
+        raise CheckpointError(f"unknown architecture {arch!r}")
+    cls, config_cls = classes[arch]
     try:
-        raw_params = payload["params"]
+        config = config_cls(**payload["config"])
         params = {
             name: np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-            for name, entry in raw_params.items()
+            for name, entry in payload["params"].items()
         }
-        if arch == "tcn":
-            return TcnRegressor(TcnConfig(**payload["config"]), params=params)
-        if arch == "gru":
-            return GruRegressor(GruConfig(**payload["config"]), params=params)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint: {exc}") from None
-    raise CheckpointError(f"unknown architecture {arch!r}")
+    expected = {name: shape for name, (shape, _) in cls.param_specs(config).items()}
+    found = {name: arr.shape for name, arr in params.items()}
+    if found != expected:
+        name = min(n for n in expected.keys() | found.keys()
+                   if found.get(n) != expected.get(n))
+        raise CheckpointError(
+            f"checkpoint parameter {name}: shape {found.get(name)} in the file, "
+            f"{expected.get(name)} for its {arch} config")
+    return cls(config, params=params)

@@ -1,10 +1,18 @@
-"""Shared test oracles: finite differences and sphere sampling.
+"""Shared test oracles: finite differences, sphere sampling, op dispatch
+and the recurrent layer built from primitive autodiff ops.
 
-These stay deliberately independent of the library's own gradient and
-loss code so they can serve as ground truth for it.
+The finite-difference and sampling oracles stay deliberately independent
+of the library's own gradient and loss code so they can serve as ground
+truth for it.  The primitive-op GRU graph is the per-frame graph the
+fused `gru_layer` op replaced; it checks the fused op's values and
+adjoints against ops that are each gradient-checked on their own.
 """
 
+import json
+
 import numpy as np
+
+from skelattack import autodiff as ad
 
 
 def fd_gradients(f, arrays, step=1e-5):
@@ -49,3 +57,72 @@ def sampled_sphere_min(point, center, radius, n_samples, rng):
 def brute_distance_sum(output, target):
     """Reference success metric: per-frame L2 distances, summed over time."""
     return float(sum(np.linalg.norm(o - t) for o, t in zip(output, target)))
+
+
+def corrupt_checkpoint(path, name, shape=None):
+    """Delete parameter `name` from a checkpoint file, or give it zeros of `shape`."""
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    if shape is None:
+        del payload["params"][name]
+    else:
+        payload["params"][name] = {"shape": list(shape),
+                                   "data": [0.0] * int(np.prod(shape))}
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+
+# generic dispatch, for gradient checks that sweep all op kinds
+OP_BUILDERS = {
+    "add": lambda ins, at: ad.add(ins[0], ins[1]),
+    "subtract": lambda ins, at: ad.subtract(ins[0], ins[1]),
+    "scalar_multiply": lambda ins, at: ad.scalar_multiply(ins[0], at["scalar"]),
+    "multiply": lambda ins, at: ad.multiply(ins[0], ins[1]),
+    "matmul": lambda ins, at: ad.matmul(ins[0], ins[1]),
+    "concat_time": lambda ins, at: ad.concat_time(ins),
+    "slice": lambda ins, at: ad.slice_axis(ins[0], at["start"], at["stop"], at.get("axis", 0)),
+    "relu": lambda ins, at: ad.relu(ins[0]),
+    "tanh": lambda ins, at: ad.tanh(ins[0]),
+    "sigmoid": lambda ins, at: ad.sigmoid(ins[0]),
+    "causal_conv1d": lambda ins, at: ad.causal_conv1d(ins[0], ins[1], at.get("dilation", 1)),
+    "gru_layer": lambda ins, at: ad.gru_layer(ins[0], ins[1], ins[2]),
+    "sum_reduce": lambda ins, at: ad.sum_reduce(ins[0]),
+    "l2_norm": lambda ins, at: ad.l2_norm(ins[0], at.get("axis", -1)),
+    "absolute": lambda ins, at: ad.absolute(ins[0]),
+}
+
+
+def forward_op(kind, inputs, attrs=None):
+    """Build the node for `kind`; raises on unknown kinds or bad shapes."""
+    try:
+        builder = OP_BUILDERS[kind]
+    except KeyError:
+        raise ValueError(f"unknown op kind: {kind!r}") from None
+    return builder(list(inputs), attrs or {})
+
+
+def gru_graph_oracle(config, x, pt):
+    """A GruRegressor forward built per frame from primitive ops.
+
+    `config` is a GruConfig, `x` the input tensor (T, D) and `pt` the
+    parameter tensors; returns the head output (T, D).
+    """
+    frames = x.value.shape[0]
+    h_seq = x
+    for i, hidden in enumerate(config.layer_sizes()):
+        xp = ad.add(ad.matmul(h_seq, pt[f"gru{i}_w"]), pt[f"gru{i}_bi"])
+        ones = ad.Tensor(np.ones((1, hidden)))
+        h = ad.Tensor(np.zeros((1, hidden)))
+        outs = []
+        for t in range(frames):
+            xp_t = ad.slice_axis(xp, t, t + 1, axis=0)
+            hu = ad.add(ad.matmul(h, pt[f"gru{i}_u"]), pt[f"gru{i}_bh"])
+            zr = ad.sigmoid(ad.add(ad.slice_axis(xp_t, 0, 2 * hidden, axis=1),
+                                   ad.slice_axis(hu, 0, 2 * hidden, axis=1)))
+            z = ad.slice_axis(zr, 0, hidden, axis=1)
+            r = ad.slice_axis(zr, hidden, 2 * hidden, axis=1)
+            n = ad.tanh(ad.add(
+                ad.slice_axis(xp_t, 2 * hidden, 3 * hidden, axis=1),
+                ad.multiply(r, ad.slice_axis(hu, 2 * hidden, 3 * hidden, axis=1))))
+            h = ad.add(ad.multiply(ad.subtract(ones, z), n), ad.multiply(z, h))
+            outs.append(h)
+        h_seq = ad.concat_time(outs)
+    return ad.add(ad.matmul(h_seq, pt["head_w"]), pt["head_b"])

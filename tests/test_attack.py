@@ -95,6 +95,27 @@ def test_temporal_loss_needs_two_frames():
         attack.temporal_loss(ad.Tensor(np.zeros((1, 3))))
 
 
+def test_temporal_loss_gradient_same_as_zero_filled_slice_adjoint(monkeypatch):
+    # the slice adjoint adds into its rows only; adding a zero-filled array
+    # of the whole source instead must give the same bits
+    def zero_filled_slice(a, start, stop, axis=0):
+        def backward_fn(g):
+            full = np.zeros_like(a.value)
+            full[start:stop] = g
+            a.accumulate(full)
+
+        return ad._result(a.value[start:stop].copy(), "slice", (a,), backward_fn)
+
+    x = np.random.default_rng(11).uniform(0.1, 0.9, size=(9, 6))
+    grads = []
+    for slicer in (ad.slice_axis, zero_filled_slice):
+        monkeypatch.setattr(ad, "slice_axis", slicer)
+        xt = ad.Tensor(x, requires_grad=True)
+        ad.backward(attack.temporal_loss(xt))
+        grads.append(xt.grad)
+    assert np.array_equal(grads[0], grads[1])
+
+
 # combined objective ----------------------------------------------------------
 
 def test_adv_loss_lambda_zero_equals_spatial():

@@ -5,7 +5,7 @@ import pytest
 
 from skelattack import autodiff as ad
 
-from tests.helpers import fd_gradients, max_rel_err
+from tests.helpers import fd_gradients, forward_op, max_rel_err
 
 GRAD_TOL = 1e-4
 FD_STEP = 1e-5
@@ -59,9 +59,19 @@ def test_shape_mismatch_names_op_and_shapes():
     assert "(2, 3)" in str(exc.value)
 
 
+def test_gru_layer_shape_mismatch():
+    xp = ad.Tensor(np.ones((5, 12)))
+    for u, bh in [((8, 24), 12), ((4, 12), 24), ((12, 4), 12), ((4, 4, 3), 12)]:
+        with pytest.raises(ad.ShapeError, match="gru_layer"):
+            ad.gru_layer(xp, ad.Tensor(np.ones(u)), ad.Tensor(np.ones(bh)))
+    with pytest.raises(ad.ShapeError, match="gru_layer"):
+        ad.gru_layer(ad.Tensor(np.ones((5, 10))), ad.Tensor(np.ones((3, 10))),
+                     ad.Tensor(np.ones(10)))
+
+
 def test_forward_op_unknown_kind():
     with pytest.raises(ValueError, match="unknown op kind"):
-        ad.forward_op("fourier", [ad.Tensor([1.0])])
+        forward_op("fourier", [ad.Tensor([1.0])])
 
 
 def test_adjoint_reset_makes_backward_idempotent():
@@ -105,6 +115,10 @@ def all_op_gradcheck_cases():
         ("sigmoid", [rng.normal(size=(t, c))], {}),
         ("causal_conv1d", [rng.normal(size=(t, c)), rng.normal(size=(3, c, 2))],
          {"dilation": 2}),
+        ("gru_layer", [rng.normal(size=(1, 3 * c)), rng.normal(size=(c, 3 * c)),
+                       rng.normal(size=3 * c)], {}),
+        ("gru_layer", [rng.normal(size=(t, 3 * c)), rng.normal(size=(c, 3 * c)),
+                       rng.normal(size=3 * c)], {}),
         ("sum_reduce", [rng.normal(size=(t, c))], {}),
         ("l2_norm", [rng.normal(size=(t, c)) + 0.5], {"axis": -1}),
         ("absolute", [off_kink((t, c))], {}),
@@ -114,15 +128,15 @@ def all_op_gradcheck_cases():
 def op_gradcheck(kind, arrays, attrs, weights_seed=7):
     """Analytic vs finite-difference gradient for one op kind."""
     rng = np.random.default_rng(weights_seed)
-    out_shape = ad.forward_op(kind, [ad.Tensor(a) for a in arrays], attrs).value.shape
+    out_shape = forward_op(kind, [ad.Tensor(a) for a in arrays], attrs).value.shape
     weights = rng.normal(size=out_shape)
 
     def scalarize(arrs):
-        out = ad.forward_op(kind, [ad.Tensor(a) for a in arrs], attrs)
+        out = forward_op(kind, [ad.Tensor(a) for a in arrs], attrs)
         return float(np.sum(out.value * weights))
 
     tensors = [ad.Tensor(a, requires_grad=True) for a in arrays]
-    out = ad.forward_op(kind, tensors, attrs)
+    out = forward_op(kind, tensors, attrs)
     root = ad.sum_reduce(ad.multiply(out, ad.Tensor(weights)))
     ad.backward(root)
     numeric = fd_gradients(scalarize, [a.copy() for a in arrays], step=FD_STEP)

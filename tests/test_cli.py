@@ -6,8 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from skelattack import cli
+from skelattack import cli, models
 from skelattack.attack import EPSILON_GRID
+
+from tests.helpers import corrupt_checkpoint
 
 
 def run(argv):
@@ -175,11 +177,20 @@ def test_export_writes_sequence_csvs(workspace, tmp_path):
     assert run(["export", "--result", str(att / "results" / "result_000.json"),
                 "--model-path", str(root / "tcn" / "model.json"),
                 "--out", str(out)]) == 0
-    for role in ("natural_input", "adversarial_input", "target",
-                 "natural_output", "adversarial_output"):
+    result = read_json(att / "results" / "result_000.json")
+    model = models.load_model(root / "tcn" / "model.json")
+    natural = np.array(result["natural"])
+    adversarial = np.array(result["adversarial"])
+    expected = {"natural_input": natural, "adversarial_input": adversarial,
+                "target": np.array(result["target"]),
+                "natural_output": model.predict_flat(natural),
+                "adversarial_output": model.predict_flat(adversarial)}
+    for role, flat in expected.items():
         text = (out / f"{role}.csv").read_text(encoding="utf-8").splitlines()
         assert text[0] == "frame,joint,x,y,depth"
         assert len(text) == 1 + CFG["data"]["frames"] * CFG["data"]["joints"]
+        coords = np.array([[float(v) for v in line.split(",")[2:]] for line in text[1:]])
+        assert np.array_equal(coords, flat.reshape(-1, 3))
 
 
 def test_eval_empty_test_set_fails(workspace, tmp_path):
@@ -231,8 +242,37 @@ def test_lambda_zero_disables_temporal_term(workspace, tmp_path):
 
 def test_checkpoint_loadable_as_declared_arch(workspace):
     root, _ = workspace
-    from skelattack import models
     model = models.load_model(root / "tcn" / "model.json", expected_arch="tcn")
     assert model.arch == "tcn"
     with pytest.raises(models.CheckpointError):
         models.load_model(root / "tcn" / "model.json", expected_arch="gru")
+
+
+def single_error_line(capsys):
+    lines = capsys.readouterr().err.splitlines()
+    return len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("arch,name,shape", [("tcn", "head_b", None),
+                                             ("gru", "gru0_u", (4, 12))])
+def test_checkpoint_not_fitting_its_config_fails_closed(arch, name, shape, workspace,
+                                                        tmp_path, capsys):
+    root, cfg_path = workspace
+    path = tmp_path / "model.json"
+    models.save_model(models.create_model(arch, 3 * CFG["data"]["joints"], seed=1), path)
+    corrupt_checkpoint(path, name, shape)
+    assert run(["attack", "--config", str(cfg_path),
+                "--dataset", str(root / "data" / "dataset.json"),
+                "--model-path", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert single_error_line(capsys)
+
+
+def test_transfer_of_malformed_sweep_fails_closed(workspace, tmp_path, capsys):
+    root, cfg_path = workspace
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({"model_id": "tcn", "epsilon_grid": [0.45], "cells": []}),
+                     encoding="utf-8")
+    assert run(["transfer", "--sweep", str(sweep),
+                "--model-path", str(root / "tcn" / "model.json"),
+                "--out", str(tmp_path / "out")]) == 2
+    assert single_error_line(capsys)

@@ -47,6 +47,16 @@ def test_parse_strict_rejects_out_of_range(tmp_path):
     assert record.actor.joints[0, 0, 0] == 1.5
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_parse_strict_rejects_non_finite(bad, tmp_path):
+    with pytest.raises(data.ValidationError, match="non-finite"):
+        data.parse_sbu_file(write_capture(tmp_path, ["1," + ",".join([bad] * 90)]))
+    fields = ["1"] + ["0.5"] * 90
+    fields[47] = bad  # one reactor coordinate
+    with pytest.raises(data.ValidationError, match="non-finite"):
+        data.parse_sbu_file(write_capture(tmp_path, [",".join(fields)]))
+
+
 def test_parse_lenient_tolerates_trailing_separator(tmp_path):
     path = write_capture(tmp_path, [zero_line() + ","])
     with pytest.raises(data.ParseError):

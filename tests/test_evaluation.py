@@ -1,5 +1,6 @@
 """Tolerance table, sweeps, transfer consistency, and report exports."""
 
+import json
 import math
 
 import numpy as np
@@ -227,3 +228,20 @@ def test_csv_and_sweep_round_trip(bench, tmp_path):
         assert a.sums == pytest.approx(b.sums, rel=0, abs=0)
         for x, y in zip(a.adversarial, b.adversarial):
             assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("drop", ["objectives", "model_id", "cells", "cells.flags",
+                                  "objectives.target"])
+def test_load_sweep_rejects_missing_keys(drop, bench, tmp_path):
+    report, _ = sweep_fixture(bench, 6.0)
+    path = tmp_path / "sweep.json"
+    evaluation.save_sweep(report, path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    section, _, key = drop.partition(".")
+    if key:
+        del payload[section][0][key]
+    else:
+        del payload[section]
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(evaluation.EvaluationError, match="malformed sweep"):
+        evaluation.load_sweep(path)

@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from skelattack import autodiff as ad
 from skelattack import data, models
 
-from tests.helpers import fd_gradients, max_rel_err
+from tests.helpers import corrupt_checkpoint, fd_gradients, gru_graph_oracle, max_rel_err
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +93,6 @@ def test_parameter_gradients_match_finite_differences(arch):
             model.params[name] = arr
         return models.mse(model.predict_flat(x), y)
 
-    from skelattack import autodiff as ad
     pt = model.param_tensors(trainable=True)
     out = model.build_graph(ad.Tensor(x), pt)
     diff = ad.subtract(out, ad.Tensor(y))
@@ -101,6 +101,31 @@ def test_parameter_gradients_match_finite_differences(arch):
     numeric = fd_gradients(loss_value, [model.params[n].copy() for n in names])
     for name, num in zip(names, numeric):
         assert max_rel_err(pt[name].grad, num) < 1e-4, name
+
+
+@pytest.mark.parametrize("stack", [[(1, 16)], [(1, 7), (1, 5)]])
+def test_fused_gru_matches_primitive_op_graph(stack, one_pair):
+    # the fused recurrent op against the per-frame graph of primitive ops
+    x = one_pair[0].flat()
+    y = one_pair[1].flat()
+    model = models.create_model("gru", x.shape[1], seed=12, stack=stack)
+    rng = np.random.default_rng(12)
+    for name in model.params:
+        model.params[name] = model.params[name] + 0.2 * rng.normal(
+            size=model.params[name].shape)
+    pt_oracle = model.param_tensors(trainable=False)
+    assert np.array_equal(model.predict_flat(x),
+                          gru_graph_oracle(model.config, ad.Tensor(x), pt_oracle).value)
+
+    grads = []
+    for build in (model.build_graph, lambda xt, pt: gru_graph_oracle(model.config, xt, pt)):
+        xt = ad.Tensor(x, requires_grad=True)
+        pt = model.param_tensors(trainable=True)
+        diff = ad.subtract(build(xt, pt), ad.Tensor(y))
+        ad.backward(ad.sum_reduce(ad.multiply(diff, diff)))
+        grads.append([xt.grad] + [pt[name].grad for name in sorted(pt)])
+    for fused, oracle in zip(*grads):
+        assert np.allclose(fused, oracle, rtol=1e-12, atol=0.0)
 
 
 def test_train_overfits_single_pair(one_pair):
@@ -186,6 +211,17 @@ def test_checkpoint_version_mismatch(tmp_path):
     payload["version"] = 99
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(models.CheckpointError, match="version"):
+        models.load_model(path)
+
+
+@pytest.mark.parametrize("arch,name,shape", [("tcn", "head_b", None),
+                                             ("gru", "gru0_u", (8, 24)),
+                                             ("gru", "gru1_w", (16, 48))])
+def test_checkpoint_parameters_checked_against_config(arch, name, shape, tmp_path):
+    path = tmp_path / "model.json"
+    models.save_model(small_model(arch, 6), path)
+    corrupt_checkpoint(path, name, shape)
+    with pytest.raises(models.CheckpointError, match=name):
         models.load_model(path)
 
 
