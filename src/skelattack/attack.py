@@ -21,7 +21,7 @@ against one (immutable) model is safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -248,9 +248,6 @@ def run_attack(model, x, cfg: AttackConfig, on_step=None) -> AttackResult:
     if target.shape != x_nat.shape:
         raise AttackError(
             f"target shape {target.shape} does not match input {x_nat.shape}")
-    if cfg.kappa is None:
-        raise AttackError("attack config needs a kappa tolerance")
-    eta = _eta(cfg.kappa, x_nat.shape[0])
 
     x_adv = x_nat.copy()
     adam_state = None
@@ -261,10 +258,7 @@ def run_attack(model, x, cfg: AttackConfig, on_step=None) -> AttackResult:
     best_step = 0
     for m in range(cfg.steps + 1):
         xt = ad.Tensor(x_adv, requires_grad=True, op="input")
-        output, _ = model.forward(xt)
-        loss = spatial_loss(output, target, eta)
-        if cfg.lam > 0.0:
-            loss = ad.add(loss, ad.scalar_multiply(temporal_loss(xt), cfg.lam))
+        loss, output = adv_loss(model, xt, target, cfg)
         loss_value = float(loss.value)
         if not math.isfinite(loss_value):
             raise AttackDivergedError(m)
@@ -317,8 +311,3 @@ def result_to_dict(result: AttackResult) -> dict:
         "best_step": result.best_step,
         "adversarial": result.adversarial.flat().tolist(),
     }
-
-
-def config_for(cfg: AttackConfig, **changes) -> AttackConfig:
-    """Copy an attack config with a few fields replaced."""
-    return replace(cfg, **changes)

@@ -3,8 +3,12 @@
 A Tensor wraps an ndarray and remembers how it was produced; backward()
 replays the graph in reverse topological order and accumulates adjoints.
 Only the operations needed by the sequence regressors and the attack
-losses are implemented.  There is no general broadcasting; the single
-exception is adding a row vector to a matrix, which linear layers use
+losses are implemented.  Sequence operands are (T, C), or (B, T, C) for
+a batch of B equal-length sequences: matmul, causal_conv1d, gru_layer
+and the row-bias add/subtract compute each sample of a batch bitwise as
+they compute it alone, and add the shared weights' adjoints up over the
+batch in sample order.  There is no general broadcasting; the single
+exception is adding a row vector to every row, which linear layers use
 for their bias term.
 
 Graph construction and backward are single-threaded per graph instance.
@@ -95,38 +99,63 @@ def _result(value: np.ndarray, op: str, children: tuple[Tensor, ...],
 # operations
 
 
+def _row_bias(op: str, va: np.ndarray, vb: np.ndarray) -> bool:
+    """The elementwise shape rule: equal shapes, or b a row added to every row of a."""
+    if va.shape == vb.shape:
+        return False
+    if va.ndim in (2, 3) and vb.ndim == 1 and va.shape[-1] == vb.shape[0]:
+        return True
+    raise ShapeError(op, va.shape, vb.shape)
+
+
+def _bias_adjoint(g: np.ndarray) -> np.ndarray:
+    """The adjoint of a row added to every row of a (T, C) or (B, T, C) operand.
+
+    Rows are summed per sample, then the samples in sample order, so the
+    result is bitwise what a loop over the samples accumulates.
+    """
+    per_sample = g.sum(axis=-2)
+    return per_sample.sum(axis=0) if per_sample.ndim == 2 else per_sample
+
+
+def _weight_adjoint(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The adjoint a^T g of a weight that every sample of a batch shares.
+
+    a is (T, C) and g is (T, K), or (B, T, C) and (B, T, K).  The
+    per-sample products are added one at a time in sample order, so the
+    result is bitwise what a loop over the samples accumulates, and no
+    (B, C, K) array is formed.
+    """
+    if a.ndim == 2:
+        return a.T @ g
+    total = a[0].T @ g[0]
+    for a_b, g_b in zip(a[1:], g[1:]):
+        total += a_b.T @ g_b
+    return total
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     va, vb = a.value, b.value
-    if va.shape == vb.shape:
-        row_bias = False
-    elif va.ndim == 2 and vb.ndim == 1 and va.shape[1] == vb.shape[0]:
-        row_bias = True
-    else:
-        raise ShapeError("add", va.shape, vb.shape)
+    row_bias = _row_bias("add", va, vb)
 
     def backward_fn(g):
         if a.requires_grad:
             a.accumulate(g)
         if b.requires_grad:
-            b.accumulate(g.sum(axis=0) if row_bias else g)
+            b.accumulate(_bias_adjoint(g) if row_bias else g)
 
     return _result(va + vb, "add", (a, b), backward_fn)
 
 
 def subtract(a: Tensor, b: Tensor) -> Tensor:
     va, vb = a.value, b.value
-    if va.shape == vb.shape:
-        row_bias = False
-    elif va.ndim == 2 and vb.ndim == 1 and va.shape[1] == vb.shape[0]:
-        row_bias = True
-    else:
-        raise ShapeError("subtract", va.shape, vb.shape)
+    row_bias = _row_bias("subtract", va, vb)
 
     def backward_fn(g):
         if a.requires_grad:
             a.accumulate(g)
         if b.requires_grad:
-            b.accumulate(-(g.sum(axis=0) if row_bias else g))
+            b.accumulate(-(_bias_adjoint(g) if row_bias else g))
 
     return _result(va - vb, "subtract", (a, b), backward_fn)
 
@@ -157,18 +186,19 @@ def multiply(a: Tensor, b: Tensor) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     va, vb = a.value, b.value
-    if va.ndim != 2 or vb.ndim != 2 or va.shape[1] != vb.shape[0]:
+    if va.ndim not in (2, 3) or vb.ndim != 2 or va.shape[-1] != vb.shape[0]:
         raise ShapeError("matmul", va.shape, vb.shape)
 
     def backward_fn(g):
         if a.requires_grad:
             a.accumulate(g @ vb.T)
         if b.requires_grad:
-            b.accumulate(va.T @ g)
+            b.accumulate(_weight_adjoint(va, g))
 
     # einsum keeps each output row a fixed-order reduction, so row t is
-    # bitwise independent of how many rows follow it (BLAS kernels are not).
-    return _result(np.einsum("ij,jk->ik", va, vb), "matmul", (a, b), backward_fn)
+    # bitwise independent of how many rows follow it (BLAS kernels are not)
+    # and of how many samples are stacked beside it.
+    return _result(np.einsum("...ij,jk->...ik", va, vb), "matmul", (a, b), backward_fn)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -274,101 +304,122 @@ def slice_axis(a: Tensor, start: int, stop: int, axis: int = 0) -> Tensor:
 def causal_conv1d(x: Tensor, w: Tensor, dilation: int = 1) -> Tensor:
     """Causal dilated 1-D convolution over the time axis.
 
-    x is (T, C_in) and w is (K, C_in, C_out).  The input is left-padded
-    with (K-1)*dilation zero frames, so output frame t depends only on
-    input frames <= t and the sequence length is preserved.
+    x is (T, C_in), or (B, T, C_in) for a batch, and w is (K, C_in, C_out).
+    The input is left-padded with (K-1)*dilation zero frames, so output
+    frame t depends only on input frames <= t and the sequence length is
+    preserved.
     """
     vx, vw = x.value, w.value
-    if vx.ndim != 2 or vw.ndim != 3 or vx.shape[1] != vw.shape[1]:
+    if vx.ndim not in (2, 3) or vw.ndim != 3 or vx.shape[-1] != vw.shape[1]:
         raise ShapeError("causal_conv1d", vx.shape, vw.shape)
     if dilation < 1:
         raise ValueError(f"causal_conv1d: dilation must be >= 1, got {dilation}")
-    frames, _ = vx.shape
+    frames = vx.shape[-2]
     width = vw.shape[0]
     pad = (width - 1) * dilation
-    padded = np.concatenate([np.zeros((pad, vx.shape[1])), vx], axis=0)
-    out = np.zeros((frames, vw.shape[2]))
+    padded = np.zeros(vx.shape[:-2] + (pad + frames, vx.shape[-1]))
+    padded[..., pad:, :] = vx
+    out = np.zeros(vx.shape[:-1] + (vw.shape[2],))
     for k in range(width):
         # einsum for the same per-row bitwise stability as matmul
-        out += np.einsum("ij,jk->ik", padded[k * dilation:k * dilation + frames], vw[k])
+        out += np.einsum("...ij,jk->...ik", padded[..., k * dilation:k * dilation + frames, :],
+                         vw[k])
 
     def backward_fn(g):
         if w.requires_grad:
             gw = np.empty_like(vw)
             for k in range(width):
-                gw[k] = padded[k * dilation:k * dilation + frames].T @ g
+                gw[k] = _weight_adjoint(padded[..., k * dilation:k * dilation + frames, :], g)
             w.accumulate(gw)
         if x.requires_grad:
             gp = np.zeros_like(padded)
             for k in range(width):
-                gp[k * dilation:k * dilation + frames] += g @ vw[k].T
-            x.accumulate(gp[pad:])
+                gp[..., k * dilation:k * dilation + frames, :] += g @ vw[k].T
+            x.accumulate(gp[..., pad:, :])
 
     return _result(out, "causal_conv1d", (x, w), backward_fn)
+
+
+# One matrix-vector product per row of b, each the unbatched `a @ b[i]`;
+# a (B, 3H) x (3H, H) matrix product rounds differently.  np.matvec is
+# numpy >= 2.2.
+_matvec = getattr(np, "matvec", None) or (lambda a, b: np.matmul(a, b[..., None])[..., 0])
 
 
 def gru_layer(xp: Tensor, u: Tensor, bh: Tensor) -> Tensor:
     """One gated recurrent layer run over a whole sequence (Cho et al. 2014).
 
-    xp is the projected input (T, 3H) in blocks [z | r | n], u the
-    recurrent weight (H, 3H) and bh its bias (3H,).  From h = 0, frame t
-    computes
+    xp is the projected input (T, 3H), or (B, T, 3H) for a batch, in
+    blocks [z | r | n], u the recurrent weight (H, 3H) and bh its bias
+    (3H,).  From h = 0, frame t computes
 
         hu = h u + bh
         z, r = sigmoid(xp_t[:2H] + hu[:2H])
         n = tanh(xp_t[2H:] + r * hu[2H:])
         h = (1 - z) * n + z * h
 
-    and the output is the sequence of states h (T, H).  Backward runs the
+    and the output is the sequence of states h (T, H) or (B, T, H); each
+    frame's rows are the samples of the batch.  Backward runs the
     recurrence from the last frame to the first (backpropagation through
     time) and carries only the state's adjoint between frames.
     """
     vx, vu, vb = xp.value, u.value, bh.value
-    hidden = vx.shape[1] // 3 if vx.ndim == 2 else 0
-    if (hidden < 1 or vx.shape[0] < 1 or vx.shape[1] != 3 * hidden
+    hidden = vx.shape[-1] // 3 if vx.ndim in (2, 3) else 0
+    if (hidden < 1 or vx.shape[-2] < 1 or vx.shape[-1] != 3 * hidden
             or vu.shape != (hidden, 3 * hidden) or vb.shape != (3 * hidden,)):
         raise ShapeError("gru_layer", vx.shape, vu.shape, vb.shape)
-    frames, two = vx.shape[0], 2 * hidden
-    out = np.empty((frames, hidden))
-    zr = np.empty((frames, two))
-    n = np.empty((frames, hidden))
-    hn = np.empty((frames, hidden))  # h u_n + c_n, the term r gates
-    h = np.zeros((1, hidden))
+    # time-major (T, B, .) views and caches; the unbatched case is a batch of one
+    xs = (vx if vx.ndim == 3 else vx[None]).swapaxes(0, 1)
+    frames, batch, two = xs.shape[0], xs.shape[1], 2 * hidden
+    out = np.empty((frames, batch, hidden))
+    zr = np.empty((frames, batch, two))
+    n = np.empty((frames, batch, hidden))
+    hn = np.empty((frames, batch, hidden))  # h u_n + c_n, the term r gates
+    h = np.zeros((batch, hidden))
     for t in range(frames):
-        # a one-row einsum per frame keeps frame t's arithmetic independent
-        # of the frames after it, as matmul does for whole sequences
+        # an einsum per frame keeps each row's arithmetic independent of the
+        # frames after it and of the other rows, as matmul does
         hu = np.einsum("ij,jk->ik", h, vu) + vb
-        zr[t] = 1.0 / (1.0 + np.exp(-(vx[t, :two] + hu[0, :two])))
-        z, r = zr[t, :hidden], zr[t, hidden:]
-        hn[t] = hu[0, two:]
-        n[t] = np.tanh(vx[t, two:] + r * hn[t])
+        zr[t] = 1.0 / (1.0 + np.exp(-(xs[t, :, :two] + hu[:, :two])))
+        z, r = zr[t, :, :hidden], zr[t, :, hidden:]
+        hn[t] = hu[:, two:]
+        n[t] = np.tanh(xs[t, :, two:] + r * hn[t])
         h = (1.0 - z) * n[t] + z * h
         out[t] = h
 
     def backward_fn(g):
-        dxp = np.empty_like(vx)
-        dhu = np.empty_like(vx)  # adjoint of h u + bh, per frame
-        dh = np.zeros(hidden)
+        gs = (g if g.ndim == 3 else g[None]).swapaxes(0, 1)
+        # the factors free of the carried adjoint, for all frames at once;
+        # the products with it below keep their per-frame order
+        z, r = zr[..., :hidden], zr[..., hidden:]
+        one_z, one_r, one_nn = 1.0 - z, 1.0 - r, 1.0 - n * n
+        prev_n = np.empty_like(n)  # h_{t-1} - n_t, from the zero state
+        prev_n[0] = 0.0 - n[0]
+        prev_n[1:] = out[:-1] - n[1:]
+        dxp = np.empty(xs.shape)
+        dhu = np.empty(xs.shape)  # adjoint of h u + bh, per frame
+        dh = np.zeros((batch, hidden))
         for t in range(frames - 1, -1, -1):
-            dh = dh + g[t]
-            z, r = zr[t, :hidden], zr[t, hidden:]
-            h_prev = out[t - 1] if t else 0.0
-            dn = dh * (1.0 - z) * (1.0 - n[t] * n[t])
-            dxp[t, :hidden] = dh * (h_prev - n[t]) * z * (1.0 - z)
-            dxp[t, hidden:two] = dn * hn[t] * r * (1.0 - r)
-            dxp[t, two:] = dn
-            dhu[t, :two] = dxp[t, :two]
-            dhu[t, two:] = dn * r
-            dh = dh * z + vu @ dhu[t]
+            dh = dh + gs[t]
+            z_t, r_t, one_z_t, dxp_t, dhu_t = z[t], r[t], one_z[t], dxp[t], dhu[t]
+            dn = dh * one_z_t * one_nn[t]
+            dxp_t[:, :hidden] = dh * prev_n[t] * z_t * one_z_t
+            dxp_t[:, hidden:two] = dn * hn[t] * r_t * one_r[t]
+            dxp_t[:, two:] = dn
+            dhu_t[:, :two] = dxp_t[:, :two]
+            dhu_t[:, two:] = dn * r_t
+            dh = dh * z_t + _matvec(vu, dhu_t)
         if xp.requires_grad:
-            xp.accumulate(dxp)
+            xp.accumulate(dxp.swapaxes(0, 1).reshape(vx.shape))
         if u.requires_grad:
             # the initial state is zero, so frame 0 adds nothing to du
-            u.accumulate(out[:-1].T @ dhu[1:])
+            u.accumulate(_weight_adjoint(out[:-1].swapaxes(0, 1), dhu[1:].swapaxes(0, 1)))
         if bh.requires_grad:
-            bh.accumulate(dhu.sum(axis=0))
+            # over the frames, then over the batch
+            bh.accumulate(dhu.sum(axis=0).sum(axis=0))
 
-    return _result(out, "gru_layer", (xp, u, bh), backward_fn)
+    states = np.ascontiguousarray(out.swapaxes(0, 1)).reshape(vx.shape[:-1] + (hidden,))
+    return _result(states, "gru_layer", (xp, u, bh), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +454,9 @@ def backward(root: Tensor) -> dict[Tensor, np.ndarray]:
     """Accumulate adjoints of `root` w.r.t. every differentiable node.
 
     Returns a map from differentiable leaf tensors to their gradients.
-    Adjoints add onto existing ones; call zero_grad first to re-run a
-    backward pass from scratch.
+    Only leaves keep their adjoints; an interior node's adjoint is
+    released once it has been passed on.  Leaf adjoints add onto existing
+    ones; call zero_grad first to re-run a backward pass from scratch.
     """
     if root.value.size != 1:
         raise ValueError(f"backward: root must be scalar, got shape {root.value.shape}")
@@ -416,6 +468,9 @@ def backward(root: Tensor) -> dict[Tensor, np.ndarray]:
             continue
         if node._backward_fn is not None:
             node._backward_fn(node.grad)
+            # every consumer has added its share, so the interior adjoint is
+            # spent; dropping it now keeps one frontier of adjoints alive
+            node.grad = None
         elif node.requires_grad and not node._children:
             leaf_grads[node] = node.grad
     return leaf_grads

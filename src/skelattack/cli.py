@@ -26,7 +26,7 @@ from . import __version__
 from .attack import EPSILON_GRID, AttackConfig, result_to_dict, run_attack
 from .data import (CATEGORIES, DEFAULT_HELD_OUT_SETS, DataError, SkeletonSequence,
                    held_out_records, read_dataset, split_by_sets, synth_generate,
-                   write_dataset)
+                   write_dataset, write_json)
 from .evaluation import (DEFAULT_TOLERANCES, EvaluationError, blackbox_transfer,
                          fit_target_length, load_sweep, make_objectives,
                          report_rows, save_sweep, transfer_rows,
@@ -203,12 +203,6 @@ def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _write_json(path: Path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
-
-
 def _load_test_inputs(dataset_path, held_out) -> tuple[list, list[SkeletonSequence]]:
     records = read_dataset(dataset_path)
     held = held_out_records(records, held_out)
@@ -305,7 +299,7 @@ def cmd_attack(args) -> int:
             payload["natural"] = seq.flat().tolist()
             payload["target"] = target.flat().tolist()
             name = f"results/result_{i:03d}.json"
-            _write_json(out / name, payload)
+            write_json(out / name, payload)
             outputs.append(name)
         _write_manifest(out, "attack", config, acfg["seed"],
                         {"dataset": str(args.dataset), "model": str(args.model_path)},
@@ -340,7 +334,7 @@ def cmd_eval(args) -> int:
             "mean_rate_by_epsilon": {repr(e): report.mean_rate(e)
                                      for e in report.epsilon_grid},
         }
-        _write_json(out / "summary.json", summary)
+        write_json(out / "summary.json", summary)
         _write_manifest(out, "eval", config, ecfg["seed"],
                         {"dataset": str(args.dataset), "model": str(args.model_path)},
                         ["report.csv", "sweep.json", "summary.json"], started)

@@ -10,6 +10,7 @@ concurrently.
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -216,7 +217,7 @@ def record_to_dict(record: InteractionRecord) -> dict:
 
 def record_from_dict(payload: dict) -> InteractionRecord:
     try:
-        return InteractionRecord(
+        record = InteractionRecord(
             actor=SkeletonSequence.from_flat(np.array(payload["actor"], dtype=np.float64)),
             reactor=SkeletonSequence.from_flat(np.array(payload["reactor"], dtype=np.float64)),
             category=str(payload["category"]),
@@ -224,13 +225,34 @@ def record_from_dict(payload: dict) -> InteractionRecord:
         )
     except KeyError as exc:
         raise ParseError(f"record missing field {exc}") from None
+    record.actor.validate_ranges()
+    record.reactor.validate_ranges()
+    return record
+
+
+def write_json(path, payload) -> None:
+    """Write `payload` as compact, key-sorted JSON plus a newline, atomically.
+
+    The JSON streams into a sibling temp file that then replaces `path`,
+    so a payload that fails to encode, or a write that fails, leaves an
+    existing `path` untouched.  Streaming holds no full copy of the text:
+    a one-shot json.dumps of a checkpoint holds every number's text at once.
+    """
+    path = os.fspath(path)
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def write_dataset(records: list[InteractionRecord], path) -> None:
-    payload = {"records": [record_to_dict(r) for r in records]}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    write_json(path, {"records": [record_to_dict(r) for r in records]})
 
 
 def read_dataset(path) -> list[InteractionRecord]:

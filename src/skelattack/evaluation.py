@@ -17,12 +17,12 @@ reproduces the white-box flags bit for bit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .attack import AttackConfig, config_for, distance_sum, run_attack
-from .data import InteractionRecord, SkeletonSequence
+from .attack import EPSILON_GRID, AttackConfig, distance_sum, run_attack
+from .data import InteractionRecord, SkeletonSequence, write_json
 
 DEFAULT_TOLERANCES = {
     "handshaking": 79.52,
@@ -173,8 +173,6 @@ def whitebox_sweep(model, model_id: str,
                    base_cfg: AttackConfig | None = None,
                    on_result=None) -> SweepReport:
     """Attack every (sample, objective, epsilon) cell and aggregate rates."""
-    from .attack import EPSILON_GRID
-
     if not inputs:
         raise EvaluationError("no test inputs to attack")
     grid = list(epsilon_grid) if epsilon_grid is not None else list(EPSILON_GRID)
@@ -185,8 +183,7 @@ def whitebox_sweep(model, model_id: str,
             flags, sums, advs = [], [], []
             for seq in inputs:
                 target = fit_target_length(objective.target, seq.num_frames)
-                cfg = config_for(base, target=target, kappa=objective.kappa,
-                                 epsilon=eps)
+                cfg = replace(base, target=target, kappa=objective.kappa, epsilon=eps)
                 result = run_attack(model, seq, cfg)
                 adv = result.adversarial.flat()
                 ok, total = judge(model, adv, target.flat(), objective.kappa)
@@ -201,17 +198,38 @@ def whitebox_sweep(model, model_id: str,
     return report
 
 
+# the most sequences judged in one forward pass, which bounds its memory
+_TRANSFER_BATCH = 64
+
+
 def blackbox_transfer(sweep: SweepReport, receiver, receiver_id: str) -> TransferEntry:
-    """Re-judge a sweep's adversarial sequences under another model."""
+    """Re-judge a sweep's adversarial sequences under another model.
+
+    Sequences of one shape are stacked and judged in batched forward
+    passes of the receiver.  A batched row is bitwise the sequence's own
+    forward, and each distance sum is distance_sum's, so flags and sums
+    equal judge()'s.
+    """
+    targets = {o.label: o.target for o in sweep.objectives}
+    advs = [adv for cell in sweep.cells for adv in cell.adversarial]
+    by_shape: dict[tuple, list[int]] = {}
+    for i, adv in enumerate(advs):
+        by_shape.setdefault(adv.shape, []).append(i)
+    outputs: list[np.ndarray] = [None] * len(advs)
+    for members in by_shape.values():
+        for lo in range(0, len(members), _TRANSFER_BATCH):
+            chunk = members[lo:lo + _TRANSFER_BATCH]
+            rows = receiver.predict_flat(np.stack([advs[i] for i in chunk]))
+            for i, row in zip(chunk, rows):
+                outputs[i] = row
     entry = TransferEntry(source_id=sweep.model_id, receiver_id=receiver_id)
-    targets = {o.label: o for o in sweep.objectives}
+    done = iter(outputs)
     for cell in sweep.cells:
-        objective = targets[cell.objective]
         flags, sums = [], []
         for adv in cell.adversarial:
-            target = fit_target_length(objective.target, adv.shape[0])
-            ok, total = judge(receiver, adv, target.flat(), cell.kappa)
-            flags.append(ok)
+            target = fit_target_length(targets[cell.objective], adv.shape[0])
+            total = distance_sum(next(done), target.flat())
+            flags.append(total < cell.kappa)
             sums.append(total)
         entry.cells.append(CellResult(
             objective=cell.objective, epsilon=cell.epsilon, kappa=cell.kappa,
@@ -284,9 +302,7 @@ def save_sweep(report: SweepReport, path) -> None:
             for c in report.cells
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_sweep(path) -> SweepReport:
@@ -309,4 +325,8 @@ def load_sweep(path) -> SweepReport:
                     adversarial=[np.array(a, dtype=np.float64) for a in c["adversarial"]]))
         except (KeyError, TypeError, ValueError) as exc:
             raise EvaluationError(f"malformed sweep file {path}: {exc!r}") from None
+    sequences = [o.target.joints for o in report.objectives]
+    sequences += [a for c in report.cells for a in c.adversarial]
+    if not all(np.all(np.isfinite(a)) for a in sequences):
+        raise EvaluationError(f"sweep file {path} holds a non-finite coordinate")
     return report

@@ -4,7 +4,9 @@ Two architectures are provided.  The convolutional one stacks dilated
 causal convolutions with residual connections; the recurrent one stacks
 gated recurrent layers with a per-timestep linear head.  Both map an
 input sequence (T, 3N) to an output sequence of the same shape, and both
-are causal: output frame t depends only on input frames 1..t.
+are causal: output frame t depends only on input frames 1..t.  A batch
+of B equal-length inputs (B, T, 3N) maps to (B, T, 3N), each row as it
+would alone.
 
 A trained model is immutable as far as prediction is concerned, so
 predict() may be called concurrently; train() mutates the model and is
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import autodiff as ad
-from .data import DatasetSplit, SkeletonSequence
+from .data import DatasetSplit, SkeletonSequence, write_json
 from .optim import adam_update
 
 CHECKPOINT_FORMAT = "skelattack-model"
@@ -133,9 +135,10 @@ class SequenceRegressor:
 
     def forward(self, x: ad.Tensor, trainable: bool = False
                 ) -> tuple[ad.Tensor, dict[str, ad.Tensor]]:
-        if x.value.ndim != 2 or x.value.shape[1] != self.in_dim:
+        if x.value.ndim not in (2, 3) or x.value.shape[-1] != self.in_dim:
             raise ModelError(
-                f"input must be (T, {self.in_dim}), got {x.value.shape}")
+                f"input must be (T, {self.in_dim}) or (B, T, {self.in_dim}), "
+                f"got {x.value.shape}")
         pt = self.param_tensors(trainable)
         return self.build_graph(x, pt), pt
 
@@ -245,7 +248,10 @@ def train(model: SequenceRegressor,
     Accepts a DatasetSplit (its train partition is used) or a plain list
     of (input, target) sequence pairs.  Gradients are averaged over all
     pairs each epoch and applied with one optimizer step, so the loss
-    history is reproducible bit-for-bit.
+    history is reproducible bit-for-bit.  Pairs of equal length are
+    stacked into one (B, T, C) graph per epoch; every sample's arithmetic
+    is the one it would get alone, the gradients of a group add up in
+    pair order and the epoch loss is summed per pair in pair order.
     """
     pairs = split.train if isinstance(split, DatasetSplit) else split
     if not pairs:
@@ -257,18 +263,30 @@ def train(model: SequenceRegressor,
         if x.shape[1] != model.in_dim:
             raise ModelError(
                 f"pair dimension {x.shape[1]} does not match model ({model.in_dim})")
+    by_length: dict[int, list[int]] = {}
+    for i, (x, _) in enumerate(flat_pairs):
+        by_length.setdefault(x.shape[0], []).append(i)
+    groups = [(members, np.stack([flat_pairs[i][0] for i in members]),
+               np.stack([flat_pairs[i][1] for i in members]))
+              for members in by_length.values()]
     history: list[float] = []
     state = None
     for epoch in range(cfg.epochs):
         pt = model.param_tensors(trainable=True)
+        pair_loss = [0.0] * len(flat_pairs)
+        for members, xs, ys in groups:
+            out = model.build_graph(ad.Tensor(xs), pt)
+            diff = ad.subtract(out, ad.Tensor(ys))
+            sq = ad.multiply(diff, diff)
+            # every pair of a group has ys[0].size values, so the root's
+            # adjoint reaches each sample as its own pair's loss would
+            scale = 1.0 / ys[0].size
+            for i, rows in zip(members, sq.value):
+                pair_loss[i] = float(np.sum(rows) * scale)
+            ad.backward(ad.scalar_multiply(ad.sum_reduce(sq), scale))
         epoch_loss = 0.0
-        for x, y in flat_pairs:
-            out = model.build_graph(ad.Tensor(x), pt)
-            diff = ad.subtract(out, ad.Tensor(y))
-            loss = ad.scalar_multiply(ad.sum_reduce(ad.multiply(diff, diff)),
-                                      1.0 / y.size)
-            epoch_loss += float(loss.value)
-            ad.backward(loss)
+        for loss in pair_loss:  # in pair order; sum() compensates on Python >= 3.12
+            epoch_loss += loss
         epoch_loss /= len(flat_pairs)
         if not math.isfinite(epoch_loss):
             raise TrainingDivergedError(epoch, epoch_loss)
@@ -293,9 +311,7 @@ def save_model(model: SequenceRegressor, path) -> None:
             for name, arr in model.params.items()
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_model(path, expected_arch: str | None = None) -> SequenceRegressor:
@@ -332,4 +348,7 @@ def load_model(path, expected_arch: str | None = None) -> SequenceRegressor:
         raise CheckpointError(
             f"checkpoint parameter {name}: shape {found.get(name)} in the file, "
             f"{expected.get(name)} for its {arch} config")
+    for name, arr in params.items():
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"checkpoint parameter {name} holds a non-finite value")
     return cls(config, params=params)

@@ -1,18 +1,23 @@
-"""Shared test oracles: finite differences, sphere sampling, op dispatch
-and the recurrent layer built from primitive autodiff ops.
+"""Shared test oracles: finite differences, sphere sampling, op dispatch,
+the recurrent layer built from primitive autodiff ops and the per-pair
+training loop.
 
 The finite-difference and sampling oracles stay deliberately independent
 of the library's own gradient and loss code so they can serve as ground
 truth for it.  The primitive-op GRU graph is the per-frame graph the
 fused `gru_layer` op replaced; it checks the fused op's values and
-adjoints against ops that are each gradient-checked on their own.
+adjoints against ops that are each gradient-checked on their own.  The
+per-pair training loop is the one batched training replaced: one graph
+per pair per epoch.
 """
 
 import json
+import math
 
 import numpy as np
 
 from skelattack import autodiff as ad
+from skelattack.optim import adam_update
 
 
 def fd_gradients(f, arrays, step=1e-5):
@@ -126,3 +131,30 @@ def gru_graph_oracle(config, x, pt):
             outs.append(h)
         h_seq = ad.concat_time(outs)
     return ad.add(ad.matmul(h_seq, pt["head_w"]), pt["head_b"])
+
+
+def train_per_pair_oracle(model, pairs, cfg):
+    """models.train on (input, target) sequence pairs, one graph per pair.
+
+    Returns the loss history; the model's parameters are updated in place
+    as train() updates them.
+    """
+    flat_pairs = [(x.flat(), y.flat()) for x, y in pairs]
+    history = []
+    state = None
+    for _ in range(cfg.epochs):
+        pt = model.param_tensors(trainable=True)
+        epoch_loss = 0.0
+        for x, y in flat_pairs:
+            out = model.build_graph(ad.Tensor(x), pt)
+            diff = ad.subtract(out, ad.Tensor(y))
+            loss = ad.scalar_multiply(ad.sum_reduce(ad.multiply(diff, diff)),
+                                      1.0 / y.size)
+            epoch_loss += float(loss.value)
+            ad.backward(loss)
+        epoch_loss /= len(flat_pairs)
+        assert math.isfinite(epoch_loss)
+        history.append(epoch_loss)
+        grads = {k: t.grad / len(flat_pairs) for k, t in pt.items()}
+        model.params, state = adam_update(model.params, grads, state, lr=cfg.lr)
+    return history

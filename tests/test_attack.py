@@ -1,5 +1,6 @@
 """Attack losses, the projected update, and the full attack loop."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -181,7 +182,7 @@ def test_pgd_step_sign_step_size():
                               epsilon=0.45, alpha=0.03, mask="all")
     stepped, _ = attack.pgd_step(x, x.copy(), grad, cfg)
     assert np.allclose(stepped, 0.47)
-    cfg_depth = attack.config_for(cfg, mask="depth")
+    cfg_depth = dataclasses.replace(cfg, mask="depth")
     stepped, _ = attack.pgd_step(x, x.copy(), grad, cfg_depth)
     assert np.allclose(stepped[:, 2::3], 0.47)
     assert np.array_equal(stepped[:, 0::3], x[:, 0::3])
@@ -370,7 +371,7 @@ def test_run_attack_single_frame_needs_lambda_zero():
     cfg = attack.AttackConfig(target=target, kappa=5.0, steps=2, lam=0.1)
     with pytest.raises(attack.AttackError, match="2 frames"):
         attack.run_attack(model, x, cfg)
-    result = attack.run_attack(model, x, attack.config_for(cfg, lam=0.0))
+    result = attack.run_attack(model, x, dataclasses.replace(cfg, lam=0.0))
     assert len(result.loss_trace) == 3
 
 

@@ -59,6 +59,50 @@ def test_shape_mismatch_names_op_and_shapes():
     assert "(2, 3)" in str(exc.value)
 
 
+def test_batch_axis_shape_errors():
+    with pytest.raises(ad.ShapeError, match="matmul"):
+        ad.matmul(ad.Tensor(np.ones((2, 5, 4))), ad.Tensor(np.ones((2, 4, 3))))
+    with pytest.raises(ad.ShapeError, match="add"):
+        ad.add(ad.Tensor(np.ones((2, 5, 4))), ad.Tensor(np.ones((5, 4))))
+    with pytest.raises(ad.ShapeError, match="causal_conv1d"):
+        ad.causal_conv1d(ad.Tensor(np.ones((1, 2, 5, 4))), ad.Tensor(np.ones((3, 4, 2))))
+    with pytest.raises(ad.ShapeError, match="gru_layer"):
+        ad.gru_layer(ad.Tensor(np.ones((1, 2, 5, 12))), ad.Tensor(np.ones((4, 12))),
+                     ad.Tensor(np.ones(12)))
+
+
+@pytest.mark.parametrize("kind,attrs", [("matmul", {}), ("causal_conv1d", {"dilation": 2}),
+                                        ("gru_layer", {})])
+def test_batched_op_rows_and_adjoints_match_per_sample(kind, attrs):
+    # each row of a batched op is bitwise its own unbatched op, and the
+    # shared weights' adjoints are the per-sample ones added in batch order
+    rng = np.random.default_rng(3)
+    xs = rng.normal(size=(3, 6, 12))
+    weights = {"matmul": [rng.normal(size=(12, 5))],
+               "causal_conv1d": [rng.normal(size=(3, 12, 5))],
+               "gru_layer": [rng.normal(size=(4, 12)), rng.normal(size=12)]}[kind]
+    gs = rng.normal(size=forward_op(kind, [ad.Tensor(xs)] + [ad.Tensor(w) for w in weights],
+                                    attrs).value.shape)
+
+    def run(x, g):
+        ins = [ad.Tensor(x, requires_grad=True)] + [ad.Tensor(w, requires_grad=True)
+                                                    for w in weights]
+        out = forward_op(kind, ins, attrs)
+        out._backward_fn(g)
+        return out.value, [t.grad for t in ins]
+
+    out, grads = run(xs, gs)
+    summed = [np.zeros_like(w) for w in weights]
+    for b in range(xs.shape[0]):
+        row, row_grads = run(xs[b], gs[b])
+        assert np.array_equal(out[b], row)
+        assert np.array_equal(grads[0][b], row_grads[0])
+        for acc, g in zip(summed, row_grads[1:]):
+            acc += g
+    for batched, acc in zip(grads[1:], summed):
+        assert np.array_equal(batched, acc)
+
+
 def test_gru_layer_shape_mismatch():
     xp = ad.Tensor(np.ones((5, 12)))
     for u, bh in [((8, 24), 12), ((4, 12), 24), ((12, 4), 12), ((4, 4, 3), 12)]:
@@ -119,6 +163,14 @@ def all_op_gradcheck_cases():
                        rng.normal(size=3 * c)], {}),
         ("gru_layer", [rng.normal(size=(t, 3 * c)), rng.normal(size=(c, 3 * c)),
                        rng.normal(size=3 * c)], {}),
+        # a leading batch axis of B = 2 sequences
+        ("add", [rng.normal(size=(2, t, c)), rng.normal(size=c)], {}),
+        ("subtract", [rng.normal(size=(2, t, c)), rng.normal(size=c)], {}),
+        ("matmul", [rng.normal(size=(2, t, c)), rng.normal(size=(c, 3))], {}),
+        ("causal_conv1d", [rng.normal(size=(2, t, c)), rng.normal(size=(3, c, 2))],
+         {"dilation": 2}),
+        ("gru_layer", [rng.normal(size=(2, t, 3 * c)), rng.normal(size=(c, 3 * c)),
+                       rng.normal(size=3 * c)], {}),
         ("sum_reduce", [rng.normal(size=(t, c))], {}),
         ("l2_norm", [rng.normal(size=(t, c)) + 0.5], {"axis": -1}),
         ("absolute", [off_kink((t, c))], {}),
@@ -147,8 +199,14 @@ def op_gradcheck(kind, arrays, attrs, weights_seed=7):
     return max(errs)
 
 
-@pytest.mark.parametrize("kind,arrays,attrs", all_op_gradcheck_cases(),
-                         ids=lambda v: v if isinstance(v, str) else "")
+def case_id(value):
+    """The op kind, and "batched" for a (B, T, C) first operand."""
+    if isinstance(value, str):
+        return value
+    return "batched" if isinstance(value, list) and value[0].ndim == 3 else ""
+
+
+@pytest.mark.parametrize("kind,arrays,attrs", all_op_gradcheck_cases(), ids=case_id)
 def test_gradcheck_per_op(kind, arrays, attrs):
     assert op_gradcheck(kind, arrays, attrs) < GRAD_TOL
 

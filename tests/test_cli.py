@@ -276,3 +276,59 @@ def test_transfer_of_malformed_sweep_fails_closed(workspace, tmp_path, capsys):
                 "--model-path", str(root / "tcn" / "model.json"),
                 "--out", str(tmp_path / "out")]) == 2
     assert single_error_line(capsys)
+
+
+# non-finite values in the files a command reads ---------------------------------
+
+def tiny_sweep(adversarial):
+    """A one-cell sweep file payload over the workspace's 6 x 9 sequences."""
+    target = np.full_like(adversarial, 0.5)
+    return {"model_id": "tcn", "epsilon_grid": [0.45],
+            "objectives": [{"label": "kicking", "kappa": 1.0, "target": target.tolist()}],
+            "cells": [{"objective": "kicking", "epsilon": 0.45, "kappa": 1.0,
+                       "flags": [False], "sums": [1.0],
+                       "adversarial": [adversarial.tolist()]}]}
+
+
+SEQUENCE_SHAPE = (CFG["data"]["frames"], 3 * CFG["data"]["joints"])
+
+
+def test_dataset_with_non_finite_coordinate_fails_closed(workspace, tmp_path, capsys):
+    # the NaN sits in a held-out record, which training alone never reads
+    root, cfg_path = workspace
+    payload = read_json(root / "data" / "dataset.json")
+    held = [r for r in payload["records"] if r["set_id"] in CFG["data"]["held_out"]]
+    held[0]["actor"][2][1] = float("nan")
+    path = tmp_path / "dataset.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert run(["train", "--config", str(cfg_path), "--dataset", str(path),
+                "--model", "tcn", "--epochs", "1", "--out", str(tmp_path / "out")]) == 2
+    assert single_error_line(capsys)
+    assert not (tmp_path / "out" / "model.json").exists()
+
+
+def test_checkpoint_with_non_finite_parameter_fails_closed(workspace, tmp_path, capsys):
+    root, _ = workspace
+    payload = read_json(root / "tcn" / "model.json")
+    payload["params"]["head_b"]["data"][0] = float("nan")
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps(tiny_sweep(np.full(SEQUENCE_SHAPE, 0.4))), encoding="utf-8")
+    assert run(["transfer", "--sweep", str(sweep), "--model-path", str(path),
+                "--out", str(tmp_path / "out")]) == 2
+    assert single_error_line(capsys)
+    assert not (tmp_path / "out" / "transfer.csv").exists()
+
+
+def test_sweep_with_non_finite_sequence_fails_closed(workspace, tmp_path, capsys):
+    root, _ = workspace
+    adversarial = np.full(SEQUENCE_SHAPE, 0.4)
+    adversarial[3, 2] = np.inf
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps(tiny_sweep(adversarial)), encoding="utf-8")
+    assert run(["transfer", "--sweep", str(sweep),
+                "--model-path", str(root / "tcn" / "model.json"),
+                "--out", str(tmp_path / "out")]) == 2
+    assert single_error_line(capsys)
+    assert not (tmp_path / "out" / "transfer.csv").exists()

@@ -1,5 +1,7 @@
 """Parsing, serialization, pairing and the synthetic generator."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -202,6 +204,28 @@ def test_record_from_dict_missing_field():
     with pytest.raises(data.ParseError, match="missing field"):
         data.record_from_dict({"category": "kicking", "set_id": "s01s02",
                                "actor": [[0.0, 0.0, 0.0]]})
+
+
+def test_read_dataset_rejects_non_finite_coordinates(tmp_path):
+    records = data.synth_generate(seed=5, n_per_category=1, frames=4, joints=6)
+    path = tmp_path / "dataset.json"
+    data.write_dataset(records, path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["records"][3]["reactor"][2][5] = float("nan")
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(data.ValidationError, match="non-finite"):
+        data.read_dataset(path)
+
+
+def test_write_json_failure_leaves_existing_file_and_no_temp(tmp_path):
+    path = tmp_path / "out.json"
+    data.write_json(path, {"b": [1.5, -0.0], "a": "x"})
+    before = path.read_bytes()
+    assert before == b'{"a":"x","b":[1.5,-0.0]}\n'
+    with pytest.raises(TypeError):
+        data.write_json(path, {"a": [1.0, object()]})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
 def test_read_dataset_rejects_garbage(tmp_path):

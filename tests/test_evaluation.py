@@ -183,7 +183,22 @@ def test_transfer_identity_reproduces_whitebox_flags(bench):
     assert entry.source_id == "tcn:test" and entry.receiver_id == "tcn:test"
     for wb, tr in zip(report.cells, entry.cells):
         assert wb.flags == tr.flags
-        assert wb.sums == pytest.approx(tr.sums, rel=0, abs=0)
+        assert wb.sums == tr.sums
+
+
+def test_batched_transfer_equals_judging_each_sequence(bench, monkeypatch):
+    # sequences of two lengths, judged in batches of at most two rows
+    report, _ = sweep_fixture(bench, 6.0)
+    short = report.cells[0]
+    short.adversarial = [adv[:5] for adv in short.adversarial]
+    receiver = tiny_model(report.cells[0].adversarial[0].shape[1], seed=9)
+    monkeypatch.setattr(evaluation, "_TRANSFER_BATCH", 2)
+    entry = evaluation.blackbox_transfer(report, receiver, "other")
+    target = report.objectives[0].target
+    for cell in entry.cells:
+        for adv, flag, total in zip(cell.adversarial, cell.flags, cell.sums):
+            fitted = evaluation.fit_target_length(target, adv.shape[0]).flat()
+            assert (flag, total) == evaluation.judge(receiver, adv, fitted, cell.kappa)
 
 
 def test_transfer_zero_output_receiver(bench):
@@ -244,4 +259,31 @@ def test_load_sweep_rejects_missing_keys(drop, bench, tmp_path):
         del payload[section]
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(evaluation.EvaluationError, match="malformed sweep"):
+        evaluation.load_sweep(path)
+
+
+def test_failed_sweep_save_leaves_the_old_file(bench, tmp_path):
+    report, _ = sweep_fixture(bench, 6.0)
+    path = tmp_path / "sweep.json"
+    evaluation.save_sweep(report, path)
+    before = path.read_bytes()
+    report.model_id = object()  # not JSON-serialisable
+    with pytest.raises(TypeError):
+        evaluation.save_sweep(report, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.json"]
+
+
+@pytest.mark.parametrize("where", ["objectives", "cells"])
+def test_load_sweep_rejects_non_finite_sequences(where, bench, tmp_path):
+    report, _ = sweep_fixture(bench, 6.0)
+    path = tmp_path / "sweep.json"
+    evaluation.save_sweep(report, path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    if where == "objectives":
+        payload["objectives"][0]["target"][1][2] = math.inf
+    else:
+        payload["cells"][1]["adversarial"][0][3][0] = math.nan
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(evaluation.EvaluationError, match="non-finite"):
         evaluation.load_sweep(path)

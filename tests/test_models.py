@@ -8,7 +8,8 @@ import pytest
 from skelattack import autodiff as ad
 from skelattack import data, models
 
-from tests.helpers import corrupt_checkpoint, fd_gradients, gru_graph_oracle, max_rel_err
+from tests.helpers import (corrupt_checkpoint, fd_gradients, gru_graph_oracle, max_rel_err,
+                           train_per_pair_oracle)
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +127,56 @@ def test_fused_gru_matches_primitive_op_graph(stack, one_pair):
         grads.append([xt.grad] + [pt[name].grad for name in sorted(pt)])
     for fused, oracle in zip(*grads):
         assert np.allclose(fused, oracle, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("arch", ["tcn", "gru2"])
+def test_batched_forward_rows_equal_unbatched(arch, tiny_records):
+    # each row of a (B, T, C) forward is bitwise that sequence's own forward
+    seqs = [r.actor.flat() for r in tiny_records[:3]] + [tiny_records[0].reactor.flat()]
+    model = small_model("tcn", seqs[0].shape[1], seed=4) if arch == "tcn" else \
+        models.create_model("gru", seqs[0].shape[1], seed=4, stack=[(2, 8)])
+    batched = model.predict_flat(np.stack(seqs))
+    assert batched.shape == (len(seqs),) + seqs[0].shape
+    for row, seq in zip(batched, seqs):
+        assert np.array_equal(row, model.predict_flat(seq))
+
+
+def trainable_pair_models(arch, in_dim):
+    """Two identical fresh models of `arch` (tcn, or a 2-layer gru)."""
+    def make():
+        if arch == "tcn":
+            return small_model("tcn", in_dim, seed=13)
+        return models.create_model("gru", in_dim, seed=13, stack=[(1, 8), (1, 6)])
+    return make(), make()
+
+
+@pytest.mark.parametrize("arch", ["tcn", "gru2"])
+def test_batched_training_bit_identical_to_per_pair_loop(arch, tiny_records):
+    pairs = data.split_by_sets(tiny_records, {"s03s04"}).train
+    batched, oracle = trainable_pair_models(arch, pairs[0][0].flat().shape[1])
+    cfg = models.TrainConfig(epochs=4, lr=0.01)
+    _, history = models.train(batched, pairs, cfg)
+    assert history == train_per_pair_oracle(oracle, pairs, cfg)
+    for name in oracle.params:
+        assert np.array_equal(batched.params[name], oracle.params[name]), name
+
+
+@pytest.mark.parametrize("arch", ["tcn", "gru2"])
+def test_batched_training_mixed_lengths_matches_per_pair_loop(arch, tiny_records):
+    # pairs of three lengths, interleaved, so the groups are not contiguous
+    pairs = []
+    for i, record in enumerate(tiny_records[:6]):
+        frames = (10, 7, 4)[i % 3]
+        pairs.append((data.SkeletonSequence(record.actor.joints[:frames]),
+                      data.SkeletonSequence(record.reactor.joints[:frames])))
+    batched, oracle = trainable_pair_models(arch, pairs[0][0].flat().shape[1])
+    cfg = models.TrainConfig(epochs=3, lr=0.01)
+    _, history = models.train(batched, pairs, cfg)
+    assert np.allclose(history, train_per_pair_oracle(oracle, pairs, cfg),
+                       rtol=1e-12, atol=0.0)
+    for name in oracle.params:
+        assert np.allclose(batched.params[name], oracle.params[name],
+                           rtol=1e-12, atol=1e-15), name
 
 
 def test_train_overfits_single_pair(one_pair):
