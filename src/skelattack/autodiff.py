@@ -340,12 +340,6 @@ def causal_conv1d(x: Tensor, w: Tensor, dilation: int = 1) -> Tensor:
     return _result(out, "causal_conv1d", (x, w), backward_fn)
 
 
-# One matrix-vector product per row of b, each the unbatched `a @ b[i]`;
-# a (B, 3H) x (3H, H) matrix product rounds differently.  np.matvec is
-# numpy >= 2.2.
-_matvec = getattr(np, "matvec", None) or (lambda a, b: np.matmul(a, b[..., None])[..., 0])
-
-
 def gru_layer(xp: Tensor, u: Tensor, bh: Tensor) -> Tensor:
     """One gated recurrent layer run over a whole sequence (Cho et al. 2014).
 
@@ -368,10 +362,12 @@ def gru_layer(xp: Tensor, u: Tensor, bh: Tensor) -> Tensor:
     if (hidden < 1 or vx.shape[-2] < 1 or vx.shape[-1] != 3 * hidden
             or vu.shape != (hidden, 3 * hidden) or vb.shape != (3 * hidden,)):
         raise ShapeError("gru_layer", vx.shape, vu.shape, vb.shape)
-    # time-major (T, B, .) views and caches; the unbatched case is a batch of one
+    # time-major (T, B, .) views and gate caches; the unbatched case is a
+    # batch of one.  The states and the input adjoint are batch-major, the
+    # layout they leave the op in.
     xs = (vx if vx.ndim == 3 else vx[None]).swapaxes(0, 1)
     frames, batch, two = xs.shape[0], xs.shape[1], 2 * hidden
-    out = np.empty((frames, batch, hidden))
+    out = np.empty((batch, frames, hidden))
     zr = np.empty((frames, batch, two))
     n = np.empty((frames, batch, hidden))
     hn = np.empty((frames, batch, hidden))  # h u_n + c_n, the term r gates
@@ -385,7 +381,7 @@ def gru_layer(xp: Tensor, u: Tensor, bh: Tensor) -> Tensor:
         hn[t] = hu[:, two:]
         n[t] = np.tanh(xs[t, :, two:] + r * hn[t])
         h = (1.0 - z) * n[t] + z * h
-        out[t] = h
+        out[:, t] = h
 
     def backward_fn(g):
         gs = (g if g.ndim == 3 else g[None]).swapaxes(0, 1)
@@ -395,31 +391,32 @@ def gru_layer(xp: Tensor, u: Tensor, bh: Tensor) -> Tensor:
         one_z, one_r, one_nn = 1.0 - z, 1.0 - r, 1.0 - n * n
         prev_n = np.empty_like(n)  # h_{t-1} - n_t, from the zero state
         prev_n[0] = 0.0 - n[0]
-        prev_n[1:] = out[:-1] - n[1:]
-        dxp = np.empty(xs.shape)
+        prev_n[1:] = out[:, :-1].swapaxes(0, 1) - n[1:]
+        dxp = np.empty((batch, frames, 3 * hidden))
         dhu = np.empty(xs.shape)  # adjoint of h u + bh, per frame
         dh = np.zeros((batch, hidden))
         for t in range(frames - 1, -1, -1):
             dh = dh + gs[t]
-            z_t, r_t, one_z_t, dxp_t, dhu_t = z[t], r[t], one_z[t], dxp[t], dhu[t]
+            z_t, r_t, one_z_t, dxp_t, dhu_t = z[t], r[t], one_z[t], dxp[:, t], dhu[t]
             dn = dh * one_z_t * one_nn[t]
             dxp_t[:, :hidden] = dh * prev_n[t] * z_t * one_z_t
             dxp_t[:, hidden:two] = dn * hn[t] * r_t * one_r[t]
             dxp_t[:, two:] = dn
             dhu_t[:, :two] = dxp_t[:, :two]
             dhu_t[:, two:] = dn * r_t
-            dh = dh * z_t + _matvec(vu, dhu_t)
+            # one matrix-vector product per sample, each the unbatched
+            # `vu @ dhu_t[i]`; a (B, 3H) x (3H, H) product rounds differently
+            dh = dh * z_t + np.matmul(vu, dhu_t[..., None])[..., 0]
         if xp.requires_grad:
-            xp.accumulate(dxp.swapaxes(0, 1).reshape(vx.shape))
+            xp.accumulate(dxp.reshape(vx.shape))
         if u.requires_grad:
             # the initial state is zero, so frame 0 adds nothing to du
-            u.accumulate(_weight_adjoint(out[:-1].swapaxes(0, 1), dhu[1:].swapaxes(0, 1)))
+            u.accumulate(_weight_adjoint(out[:, :-1], dhu[1:].swapaxes(0, 1)))
         if bh.requires_grad:
             # over the frames, then over the batch
             bh.accumulate(dhu.sum(axis=0).sum(axis=0))
 
-    states = np.ascontiguousarray(out.swapaxes(0, 1)).reshape(vx.shape[:-1] + (hidden,))
-    return _result(states, "gru_layer", (xp, u, bh), backward_fn)
+    return _result(out.reshape(vx.shape[:-1] + (hidden,)), "gru_layer", (xp, u, bh), backward_fn)
 
 
 # ---------------------------------------------------------------------------

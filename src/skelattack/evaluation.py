@@ -159,11 +159,17 @@ def derive_kappa(model, inputs: list[SkeletonSequence], objective: Objective,
 # sweeps and transfer
 
 
+def judge_output(output: np.ndarray, target: np.ndarray, kappa: float
+                 ) -> tuple[bool, float]:
+    """The success criterion on a model output: its distance sum is below kappa."""
+    total = distance_sum(output, target)
+    return total < kappa, total
+
+
 def judge(model, adversarial: np.ndarray, target: np.ndarray, kappa: float
           ) -> tuple[bool, float]:
     """Recompute the success criterion under `model`'s forward pass."""
-    total = distance_sum(model.predict_flat(adversarial), target)
-    return total < kappa, total
+    return judge_output(model.predict_flat(adversarial), target, kappa)
 
 
 def whitebox_sweep(model, model_id: str,
@@ -198,27 +204,31 @@ def whitebox_sweep(model, model_id: str,
     return report
 
 
-# the most sequences judged in one forward pass, which bounds its memory
-_TRANSFER_BATCH = 64
+# The bytes one batched transfer pass may give its widest layer's activations
+# (rows x frames x widest weight width x 8).  Larger batches gain no speed
+# at the full presets and cost memory at every scale.
+_TRANSFER_BYTES = 2 ** 20
 
 
 def blackbox_transfer(sweep: SweepReport, receiver, receiver_id: str) -> TransferEntry:
     """Re-judge a sweep's adversarial sequences under another model.
 
     Sequences of one shape are stacked and judged in batched forward
-    passes of the receiver.  A batched row is bitwise the sequence's own
-    forward, and each distance sum is distance_sum's, so flags and sums
-    equal judge()'s.
+    passes of the receiver, as many rows per pass as _TRANSFER_BYTES
+    allows.  A batched row is bitwise the sequence's own forward, so flags
+    and sums equal judge()'s.
     """
     targets = {o.label: o.target for o in sweep.objectives}
     advs = [adv for cell in sweep.cells for adv in cell.adversarial]
     by_shape: dict[tuple, list[int]] = {}
     for i, adv in enumerate(advs):
         by_shape.setdefault(adv.shape, []).append(i)
+    widest = max(p.shape[-1] for p in receiver.params.values())
     outputs: list[np.ndarray] = [None] * len(advs)
-    for members in by_shape.values():
-        for lo in range(0, len(members), _TRANSFER_BATCH):
-            chunk = members[lo:lo + _TRANSFER_BATCH]
+    for (frames, _), members in by_shape.items():
+        per_pass = max(1, _TRANSFER_BYTES // (frames * widest * 8))
+        for lo in range(0, len(members), per_pass):
+            chunk = members[lo:lo + per_pass]
             rows = receiver.predict_flat(np.stack([advs[i] for i in chunk]))
             for i, row in zip(chunk, rows):
                 outputs[i] = row
@@ -228,8 +238,8 @@ def blackbox_transfer(sweep: SweepReport, receiver, receiver_id: str) -> Transfe
         flags, sums = [], []
         for adv in cell.adversarial:
             target = fit_target_length(targets[cell.objective], adv.shape[0])
-            total = distance_sum(next(done), target.flat())
-            flags.append(total < cell.kappa)
+            ok, total = judge_output(next(done), target.flat(), cell.kappa)
+            flags.append(ok)
             sums.append(total)
         entry.cells.append(CellResult(
             objective=cell.objective, epsilon=cell.epsilon, kappa=cell.kappa,

@@ -240,6 +240,23 @@ def mse(pred: np.ndarray, target: np.ndarray) -> float:
     return float(np.mean(diff * diff))
 
 
+def _group_backward(model: SequenceRegressor, pt: dict[str, ad.Tensor],
+                    xs: np.ndarray, ys: np.ndarray) -> list[float]:
+    """Backpropagate a stack of equal-length pairs into `pt`; return each pair's loss.
+
+    The graph is local, so it is freed before the next group's is built.
+    """
+    out = model.build_graph(ad.Tensor(xs), pt)
+    diff = ad.subtract(out, ad.Tensor(ys))
+    sq = ad.multiply(diff, diff)
+    # every pair of a group has ys[0].size values, so the root's
+    # adjoint reaches each sample as its own pair's loss would
+    scale = 1.0 / ys[0].size
+    losses = [float(np.sum(rows) * scale) for rows in sq.value]
+    ad.backward(ad.scalar_multiply(ad.sum_reduce(sq), scale))
+    return losses
+
+
 def train(model: SequenceRegressor,
           split,
           cfg: TrainConfig) -> tuple[SequenceRegressor, list[float]]:
@@ -275,15 +292,8 @@ def train(model: SequenceRegressor,
         pt = model.param_tensors(trainable=True)
         pair_loss = [0.0] * len(flat_pairs)
         for members, xs, ys in groups:
-            out = model.build_graph(ad.Tensor(xs), pt)
-            diff = ad.subtract(out, ad.Tensor(ys))
-            sq = ad.multiply(diff, diff)
-            # every pair of a group has ys[0].size values, so the root's
-            # adjoint reaches each sample as its own pair's loss would
-            scale = 1.0 / ys[0].size
-            for i, rows in zip(members, sq.value):
-                pair_loss[i] = float(np.sum(rows) * scale)
-            ad.backward(ad.scalar_multiply(ad.sum_reduce(sq), scale))
+            for i, loss in zip(members, _group_backward(model, pt, xs, ys)):
+                pair_loss[i] = loss
         epoch_loss = 0.0
         for loss in pair_loss:  # in pair order; sum() compensates on Python >= 3.12
             epoch_loss += loss

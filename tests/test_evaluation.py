@@ -187,12 +187,14 @@ def test_transfer_identity_reproduces_whitebox_flags(bench):
 
 
 def test_batched_transfer_equals_judging_each_sequence(bench, monkeypatch):
-    # sequences of two lengths, judged in batches of at most two rows
+    # sequences of two lengths, the longer judged two rows per forward pass
     report, _ = sweep_fixture(bench, 6.0)
     short = report.cells[0]
     short.adversarial = [adv[:5] for adv in short.adversarial]
     receiver = tiny_model(report.cells[0].adversarial[0].shape[1], seed=9)
-    monkeypatch.setattr(evaluation, "_TRANSFER_BATCH", 2)
+    frames = report.cells[1].adversarial[0].shape[0]
+    widest = max(p.shape[-1] for p in receiver.params.values())
+    monkeypatch.setattr(evaluation, "_TRANSFER_BYTES", 2 * frames * widest * 8)
     entry = evaluation.blackbox_transfer(report, receiver, "other")
     target = report.objectives[0].target
     for cell in entry.cells:

@@ -176,7 +176,7 @@ def test_batched_training_mixed_lengths_matches_per_pair_loop(arch, tiny_records
                        rtol=1e-12, atol=0.0)
     for name in oracle.params:
         assert np.allclose(batched.params[name], oracle.params[name],
-                           rtol=1e-12, atol=1e-15), name
+                           rtol=1e-12, atol=0.0), name
 
 
 def test_train_overfits_single_pair(one_pair):
