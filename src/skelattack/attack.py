@@ -62,20 +62,29 @@ class AttackConfig:
     adam_lr: float = DEFAULT_ADAM_LR
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise AttackError("epsilon must be positive")
-        if self.alpha <= 0:
-            raise AttackError("alpha must be positive")
-        if self.steps < 1:
-            raise AttackError("steps must be >= 1")
+        # written so that NaN fails every check
+        if not self.epsilon > 0:
+            raise AttackError(f"epsilon must be positive, got {self.epsilon}")
+        if not self.alpha > 0:
+            raise AttackError(f"alpha must be positive, got {self.alpha}")
+        if not self.steps >= 1:
+            raise AttackError(f"steps must be >= 1, got {self.steps}")
         if not 0.0 <= self.lam <= 1.0:
-            raise AttackError(f"temporal weight must be in [0, 1], got {self.lam}")
+            raise AttackError(f"temporal weight lambda must be in [0, 1], got {self.lam}")
         if self.kappa is not None and not self.kappa >= 0:
             raise AttackError("kappa must be >= 0")
         if isinstance(self.mask, str) and self.mask not in ("depth", "all"):
             raise AttackError(f"mask must be 'depth', 'all' or an array, got {self.mask!r}")
         if self.update_rule not in ("pgd", "adam"):
             raise AttackError(f"update_rule must be 'pgd' or 'adam', got {self.update_rule!r}")
+        if not self.adam_lr > 0:
+            raise AttackError(f"adam_lr must be positive, got {self.adam_lr}")
+
+
+# The name of each scalar AttackConfig setting in config files and result files.
+SETTINGS = {"epsilon": "epsilon", "alpha": "alpha", "steps": "steps", "lambda": "lam",
+            "kappa": "kappa", "mask": "mask", "update_rule": "update_rule",
+            "adam_lr": "adam_lr"}
 
 
 @dataclass
@@ -292,17 +301,11 @@ def run_attack(model, x, cfg: AttackConfig, on_step=None) -> AttackResult:
 
 def result_to_dict(result: AttackResult) -> dict:
     cfg = result.config
+    settings = {key: getattr(cfg, name) for key, name in SETTINGS.items()}
+    if not isinstance(cfg.mask, str):
+        settings["mask"] = "custom"
     return {
-        "config": {
-            "epsilon": cfg.epsilon,
-            "alpha": cfg.alpha,
-            "steps": cfg.steps,
-            "lambda": cfg.lam,
-            "kappa": cfg.kappa,
-            "mask": cfg.mask if isinstance(cfg.mask, str) else "custom",
-            "update_rule": cfg.update_rule,
-            "adam_lr": cfg.adam_lr,
-        },
+        "config": settings,
         "loss_trace": result.loss_trace,
         "distance_trace": result.distance_trace,
         "distance_sum": result.distance_sum,

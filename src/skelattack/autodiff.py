@@ -453,7 +453,8 @@ def backward(root: Tensor) -> dict[Tensor, np.ndarray]:
     Returns a map from differentiable leaf tensors to their gradients.
     Only leaves keep their adjoints; an interior node's adjoint is
     released once it has been passed on.  Leaf adjoints add onto existing
-    ones; call zero_grad first to re-run a backward pass from scratch.
+    ones; set the leaves' .grad to None first to re-run a backward pass
+    from scratch.
     """
     if root.value.size != 1:
         raise ValueError(f"backward: root must be scalar, got shape {root.value.shape}")
@@ -471,9 +472,3 @@ def backward(root: Tensor) -> dict[Tensor, np.ndarray]:
         elif node.requires_grad and not node._children:
             leaf_grads[node] = node.grad
     return leaf_grads
-
-
-def zero_grad(root: Tensor) -> None:
-    """Reset adjoints on the live graph below (and including) `root`."""
-    for node in _topo_order(root):
-        node.grad = None

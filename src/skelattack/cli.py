@@ -2,18 +2,22 @@
 
 Every command writes its artifacts plus a manifest.json (command, config
 snapshot, seed, paths, version, timestamps) into the output directory,
-and takes a lock file while writing so two processes cannot race on one
+and holds a lock on it while writing so two processes cannot race on one
 directory.  Given the same config and seed, reruns produce byte-identical
 datasets, checkpoints and reports.
 
 Config precedence: command-line flags > config file > built-in defaults.
+The attack and train defaults are those of AttackConfig and TrainConfig,
+and every value is checked before a command creates its output directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import datetime
+import fcntl
 import json
 import os
 import sys
@@ -23,10 +27,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .attack import EPSILON_GRID, AttackConfig, result_to_dict, run_attack
+from .attack import (EPSILON_GRID, SETTINGS, AttackConfig, AttackError, result_to_dict,
+                     run_attack)
 from .data import (CATEGORIES, DEFAULT_HELD_OUT_SETS, DataError, SkeletonSequence,
-                   held_out_records, read_dataset, split_by_sets, synth_generate,
-                   write_dataset, write_json)
+                   atomic_write, held_out_records, read_dataset, split_by_sets,
+                   synth_generate, write_dataset, write_json)
 from .evaluation import (DEFAULT_TOLERANCES, EvaluationError, blackbox_transfer,
                          fit_target_length, load_sweep, make_objectives,
                          report_rows, save_sweep, transfer_rows,
@@ -50,20 +55,12 @@ DEFAULT_CONFIG = {
     "train": {
         "model": "tcn",
         "preset": "tiny",
-        "epochs": 1000,
-        "lr": 0.001,
+        **dataclasses.asdict(TrainConfig()),
         "seed": 0,
     },
     "attack": {
         "objective": "punching",
-        "epsilon": 0.45,
-        "alpha": 0.03,
-        "steps": 400,
-        "lambda": 0.1,
-        "kappa": None,
-        "mask": "depth",
-        "update_rule": "pgd",
-        "adam_lr": 0.001,
+        **{key: getattr(AttackConfig, name) for key, name in SETTINGS.items()},
         "seed": 0,
     },
     "eval": {
@@ -74,93 +71,107 @@ DEFAULT_CONFIG = {
     "kappa_table": dict(DEFAULT_TOLERANCES),
 }
 
+# config keys whose default is null, with a value of the type they take otherwise
+_NULLABLE = {"attack.kappa": 0.0, "eval.objectives": list(CATEGORIES)}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
-def load_config(path=None) -> dict:
-    """Defaults overlaid with a JSON config file; unknown keys are rejected."""
+
+def load_config(path=None, flags=None) -> dict:
+    """Defaults overlaid with a JSON config file, then with `flags`.
+
+    `flags` maps "section.key" to a value.  Unknown keys, values whose JSON
+    type is not the default's, and attack or train settings that
+    AttackConfig or TrainConfig refuse all raise CliError.
+    """
     config = copy.deepcopy(DEFAULT_CONFIG)
+    for section, values in _read_config(path).items():
+        if section not in config:
+            raise CliError(f"unknown config section {section!r}")
+        if not isinstance(values, dict):
+            raise CliError(f"config section {section!r} must be an object")
+        for key, value in values.items():
+            name = f"{section}.{key}"
+            if section == "kappa_table":
+                _check_type(f"kappa_table[{key!r}]", value, 0.0)
+                if value < 0:
+                    raise CliError(f"kappa_table[{key!r}] must be >= 0, got {value}")
+            elif key not in config[section]:
+                raise CliError(f"unknown config key {name}")
+            elif not (value is None and name in _NULLABLE):
+                _check_type(name, value, _NULLABLE.get(name, DEFAULT_CONFIG[section][key]))
+            config[section][key] = value
+    for name, value in (flags or {}).items():
+        section, key = name.split(".")
+        config[section][key] = value
+    try:
+        base = _attack_settings(config["attack"])
+        _train_settings(config["train"])
+    except (AttackError, ModelError) as exc:
+        raise CliError(f"bad config: {exc}") from None
+    for eps in config["eval"]["epsilon_grid"]:
+        try:
+            dataclasses.replace(base, epsilon=eps)
+        except AttackError as exc:
+            raise CliError(f"bad config eval.epsilon_grid: {exc}") from None
+    return config
+
+
+def _read_config(path) -> dict:
     if path is None:
-        return config
+        return {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot read config: {exc}") from None
     if not text.strip():
-        return config
+        return {}
     try:
-        user = json.loads(text)
+        user = json.loads(text, parse_constant=_refuse_constant)
     except json.JSONDecodeError as exc:
         raise CliError(f"config is not valid JSON: {exc}") from None
     if not isinstance(user, dict):
         raise CliError("config root must be an object")
-    for section, values in user.items():
-        if section not in config:
-            raise CliError(f"unknown config section {section!r}")
-        if section == "kappa_table":
-            if not isinstance(values, dict):
-                raise CliError("kappa_table must map labels to numbers")
-            for label, value in values.items():
-                if not isinstance(value, (int, float)) or value < 0:
-                    raise CliError(f"kappa_table[{label!r}] must be a number >= 0")
-            config[section].update(values)
-            continue
-        if not isinstance(values, dict):
-            raise CliError(f"config section {section!r} must be an object")
-        for key, value in values.items():
-            if key not in config[section]:
-                raise CliError(f"unknown config key {section}.{key}")
-            config[section][key] = value
-    _validate_config(config)
-    return config
+    return user
 
 
-def _validate_config(config: dict) -> None:
-    lam = config["attack"]["lambda"]
-    if not (isinstance(lam, (int, float)) and 0.0 <= lam <= 1.0):
-        raise CliError(f"attack.lambda must be in [0, 1], got {lam}")
-    if config["attack"]["epsilon"] <= 0:
-        raise CliError("attack.epsilon must be positive")
-    if config["attack"]["steps"] < 1:
-        raise CliError("attack.steps must be >= 1")
-    if config["train"]["epochs"] < 1:
-        raise CliError("train.epochs must be >= 1")
-    if config["data"]["frames"] < 2:
-        raise CliError("data.frames must be >= 2")
-    grid = config["eval"]["epsilon_grid"]
-    if not grid or any(e <= 0 for e in grid):
-        raise CliError("eval.epsilon_grid must be a list of positive values")
-    objectives = config["eval"]["objectives"]
-    if objectives is not None:
-        unknown = [o for o in objectives if o not in CATEGORIES]
-        if unknown:
-            raise CliError(f"unknown eval objectives: {unknown}")
-    if config["attack"]["objective"] not in CATEGORIES:
-        raise CliError(f"unknown attack objective {config['attack']['objective']!r}")
+def _refuse_constant(name: str):
+    raise CliError(f"config holds {name}, which is not a JSON number")
 
 
-def _apply_flags(config: dict, args: argparse.Namespace) -> None:
-    """Overlay explicitly passed flags; None means 'not given'."""
-    mapping = {
-        "seed": [("data", "seed"), ("train", "seed"), ("attack", "seed"), ("eval", "seed")],
-        "per_category": [("data", "per_category")],
-        "frames": [("data", "frames")],
-        "joints": [("data", "joints")],
-        "model": [("train", "model")],
-        "preset": [("train", "preset")],
-        "epochs": [("train", "epochs")],
-        "lr": [("train", "lr")],
-        "objective": [("attack", "objective")],
-        "epsilon": [("attack", "epsilon")],
-        "steps": [("attack", "steps")],
-        "update_rule": [("attack", "update_rule")],
-        "mask": [("attack", "mask")],
-        "lam": [("attack", "lambda")],
-    }
-    for attr, targets in mapping.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            for section, key in targets:
-                config[section][key] = value
-    _validate_config(config)
+def _check_type(name: str, value, like) -> None:
+    """Refuse `value` unless it has the JSON type of `like`.
+
+    An int passes for a float but a bool never passes for a number; a
+    list must be non-empty, with every entry of the type of like[0].
+    """
+    if isinstance(like, list):
+        if not isinstance(value, list) or not value:
+            raise CliError(f"config key {name} must be a non-empty list, "
+                           f"got {json.dumps(value)}")
+        for item in value:
+            _check_type(f"{name} entry", item, like[0])
+    elif not (type(value) is type(like) or (type(like) is float and type(value) is int)):
+        raise CliError(f"config key {name} must be {_TYPE_NAMES[type(like)]}, "
+                       f"got {json.dumps(value)}")
+
+
+def _attack_settings(acfg: dict) -> AttackConfig:
+    """The attack section as an AttackConfig, with no target yet."""
+    return AttackConfig(**{name: acfg[key] for key, name in SETTINGS.items()})
+
+
+def _train_settings(tcfg: dict) -> TrainConfig:
+    return TrainConfig(**{f.name: tcfg[f.name] for f in dataclasses.fields(TrainConfig)})
+
+
+def _flags(args: argparse.Namespace) -> dict:
+    """The override flags given, by config key; --seed sets every section's seed."""
+    flags = {key: value for key, value in vars(args).items()
+             if "." in key and value is not None}
+    if getattr(args, "seed", None) is not None:
+        for section in ("data", "train", "attack", "eval"):
+            flags[f"{section}.seed"] = args.seed
+    return flags
 
 
 # ---------------------------------------------------------------------------
@@ -169,17 +180,33 @@ def _apply_flags(config: dict, args: argparse.Namespace) -> None:
 
 @contextmanager
 def _locked_outdir(out: Path):
+    """Hold an exclusive flock on out/.lock for the block.
+
+    The kernel releases a flock when its holder dies, so a killed run
+    leaves at most an unlocked .lock file, which the next run takes over.
+    """
     out.mkdir(parents=True, exist_ok=True)
     lock = out / ".lock"
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise CliError(f"output directory {out} is locked by another run") from None
+    while True:
+        fd = os.open(lock, os.O_CREAT | os.O_WRONLY)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            # a holder unlinks the file before it lets go, so the file just
+            # locked may no longer be the one at the path: then lock that one
+            held = os.path.samestat(os.fstat(fd), os.stat(lock))
+        except BlockingIOError:
+            os.close(fd)
+            raise CliError(f"output directory {out} is locked by another run") from None
+        except FileNotFoundError:
+            held = False
+        if held:
+            break
+        os.close(fd)
     try:
         yield
     finally:
-        os.close(fd)
         os.unlink(lock)
+        os.close(fd)
 
 
 def _write_manifest(out: Path, command: str, config: dict, seed: int,
@@ -194,7 +221,7 @@ def _write_manifest(out: Path, command: str, config: dict, seed: int,
         "started_at": started,
         "finished_at": _now(),
     }
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
+    with atomic_write(out / "manifest.json") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -219,24 +246,20 @@ def _load_test_inputs(dataset_path, held_out) -> tuple[list, list[SkeletonSequen
 # commands
 
 
-def cmd_synth(args) -> int:
-    config = load_config(args.config)
-    _apply_flags(config, args)
+def cmd_synth(args, config: dict) -> int:
     dcfg = config["data"]
     out = Path(args.out)
     started = _now()
+    records = synth_generate(seed=dcfg["seed"], n_per_category=dcfg["per_category"],
+                             frames=dcfg["frames"], joints=dcfg["joints"])
     with _locked_outdir(out):
-        records = synth_generate(seed=dcfg["seed"], n_per_category=dcfg["per_category"],
-                                 frames=dcfg["frames"], joints=dcfg["joints"])
         write_dataset(records, out / "dataset.json")
         _write_manifest(out, "synth", config, dcfg["seed"], {}, ["dataset.json"], started)
     print(f"wrote {len(records)} records to {out / 'dataset.json'}")
     return 0
 
 
-def cmd_train(args) -> int:
-    config = load_config(args.config)
-    _apply_flags(config, args)
+def cmd_train(args, config: dict) -> int:
     tcfg = config["train"]
     out = Path(args.out)
     started = _now()
@@ -245,12 +268,11 @@ def cmd_train(args) -> int:
     in_dim = split.train[0][0].flat().shape[1]
     model = create_model(tcfg["model"], in_dim, preset=tcfg["preset"], seed=tcfg["seed"])
     with _locked_outdir(out):
-        model, history = train(model, split,
-                               TrainConfig(epochs=tcfg["epochs"], lr=tcfg["lr"],
-                                           seed=tcfg["seed"]))
+        model, history = train(model, split, _train_settings(tcfg))
         save_model(model, out / "model.json")
         lines = ["epoch,loss"] + [f"{i},{loss!r}" for i, loss in enumerate(history)]
-        (out / "loss_history.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with atomic_write(out / "loss_history.csv") as fh:
+            fh.write("\n".join(lines) + "\n")
         _write_manifest(out, "train", config, tcfg["seed"],
                         {"dataset": str(args.dataset)},
                         ["model.json", "loss_history.csv"], started)
@@ -259,23 +281,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _attack_config(acfg: dict, target, kappa: float) -> AttackConfig:
-    return AttackConfig(
-        target=target,
-        kappa=kappa,
-        epsilon=acfg["epsilon"],
-        alpha=acfg["alpha"],
-        steps=acfg["steps"],
-        lam=acfg["lambda"],
-        mask=acfg["mask"],
-        update_rule=acfg["update_rule"],
-        adam_lr=acfg["adam_lr"],
-    )
-
-
-def cmd_attack(args) -> int:
-    config = load_config(args.config)
-    _apply_flags(config, args)
+def cmd_attack(args, config: dict) -> int:
     acfg = config["attack"]
     out = Path(args.out)
     started = _now()
@@ -285,13 +291,14 @@ def cmd_attack(args) -> int:
                                 seed=acfg["seed"],
                                 prefer_ids=config["data"]["held_out"])[0]
     kappa = acfg["kappa"] if acfg["kappa"] is not None else objective.kappa
+    base = _attack_settings(acfg)
     outputs = []
     with _locked_outdir(out):
         results_dir = out / "results"
         results_dir.mkdir(exist_ok=True)
         for i, seq in enumerate(inputs):
             target = fit_target_length(objective.target, seq.num_frames)
-            cfg = _attack_config(acfg, target, kappa)
+            cfg = dataclasses.replace(base, target=target, kappa=kappa)
             result = run_attack(model, seq, cfg)
             payload = result_to_dict(result)
             payload["objective"] = objective.label
@@ -309,9 +316,7 @@ def cmd_attack(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    config = load_config(args.config)
-    _apply_flags(config, args)
+def cmd_eval(args, config: dict) -> int:
     ecfg = config["eval"]
     out = Path(args.out)
     started = _now()
@@ -321,7 +326,7 @@ def cmd_eval(args) -> int:
     objectives = make_objectives(records, labels, config["kappa_table"],
                                  seed=ecfg["seed"],
                                  prefer_ids=config["data"]["held_out"])
-    base = _attack_config(config["attack"], None, None)
+    base = _attack_settings(config["attack"])
     model_id = f"{model.arch}:{Path(args.model_path).name}"
     with _locked_outdir(out):
         report = whitebox_sweep(model, model_id, inputs, objectives,
@@ -343,8 +348,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_transfer(args) -> int:
-    config = load_config(args.config)
+def cmd_transfer(args, config: dict) -> int:
     out = Path(args.out)
     started = _now()
     sweep = load_sweep(args.sweep)
@@ -373,8 +377,7 @@ def _sequence_csv(flat: list[list[float]] | np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_export(args) -> int:
-    config = load_config(args.config)
+def cmd_export(args, config: dict) -> int:
     out = Path(args.out)
     started = _now()
     model = load_model(args.model_path)
@@ -397,7 +400,8 @@ def cmd_export(args) -> int:
     with _locked_outdir(out):
         for role, arr in roles.items():
             name = f"{role}.csv"
-            (out / name).write_text(_sequence_csv(arr), encoding="utf-8")
+            with atomic_write(out / name) as fh:
+                fh.write(_sequence_csv(arr))
             outputs.append(name)
         _write_manifest(out, "export", config, 0,
                         {"result": str(args.result), "model": str(args.model_path)},
@@ -416,10 +420,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Craft and evaluate targeted attacks on skeleton-interaction regressors.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, dataset=False, model_path=False):
+    # an override flag's dest is the config key it sets
+    def common(p, dataset=False, model_path=False, seed=False):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", required=True, help="artifact directory")
-        p.add_argument("--seed", type=int, help="seed override")
+        if seed:
+            p.add_argument("--seed", type=int, help="seed override for every config section")
         if dataset:
             p.add_argument("--dataset", required=True, help="dataset.json path")
         if model_path:
@@ -427,32 +433,33 @@ def build_parser() -> argparse.ArgumentParser:
                            help="model checkpoint path")
 
     p = sub.add_parser("synth", help="generate a synthetic interaction dataset")
-    common(p)
-    p.add_argument("--per-category", dest="per_category", type=int)
-    p.add_argument("--frames", type=int)
-    p.add_argument("--joints", type=int)
+    common(p, seed=True)
+    p.add_argument("--per-category", dest="data.per_category", type=int)
+    p.add_argument("--frames", dest="data.frames", type=int)
+    p.add_argument("--joints", dest="data.joints", type=int)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train a sequence regressor")
-    common(p, dataset=True)
-    p.add_argument("--model", choices=("tcn", "gru"))
-    p.add_argument("--preset", choices=tuple(set(TCN_PRESETS) & set(GRU_PRESETS)))
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
+    common(p, dataset=True, seed=True)
+    p.add_argument("--model", dest="train.model", choices=("tcn", "gru"))
+    p.add_argument("--preset", dest="train.preset",
+                   choices=sorted(set(TCN_PRESETS) & set(GRU_PRESETS)))
+    p.add_argument("--epochs", dest="train.epochs", type=int)
+    p.add_argument("--lr", dest="train.lr", type=float)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("attack", help="attack the held-out inputs toward one objective")
-    common(p, dataset=True, model_path=True)
-    p.add_argument("--objective", choices=CATEGORIES)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--update-rule", dest="update_rule", choices=("pgd", "adam"))
-    p.add_argument("--mask", choices=("depth", "all"))
+    common(p, dataset=True, model_path=True, seed=True)
+    p.add_argument("--objective", dest="attack.objective", choices=CATEGORIES)
+    p.add_argument("--epsilon", dest="attack.epsilon", type=float)
+    p.add_argument("--steps", dest="attack.steps", type=int)
+    p.add_argument("--lambda", dest="attack.lambda", type=float)
+    p.add_argument("--update-rule", dest="attack.update_rule", choices=("pgd", "adam"))
+    p.add_argument("--mask", dest="attack.mask", choices=("depth", "all"))
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("eval", help="white-box success-rate sweep over epsilon")
-    common(p, dataset=True, model_path=True)
+    common(p, dataset=True, model_path=True, seed=True)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("transfer", help="re-judge a sweep's sequences under another model")
@@ -475,7 +482,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return args.func(args, load_config(args.config, _flags(args)))
     except (CliError, DataError, ModelError, EvaluationError, ValueError,
             RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -190,19 +191,6 @@ def parse_sbu_file(path, category: str | None = None, set_id: str | None = None,
     )
 
 
-def serialize_sbu(record: InteractionRecord) -> str:
-    """Render a record back into the capture text layout."""
-    lines = []
-    flat_a = record.actor.flat()
-    flat_b = record.reactor.flat()
-    for t in range(record.actor.num_frames):
-        fields = [str(t + 1)]
-        fields.extend(repr(float(v)) for v in flat_a[t])
-        fields.extend(repr(float(v)) for v in flat_b[t])
-        lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # JSON interchange
 
@@ -230,25 +218,35 @@ def record_from_dict(payload: dict) -> InteractionRecord:
     return record
 
 
-def write_json(path, payload) -> None:
-    """Write `payload` as compact, key-sorted JSON plus a newline, atomically.
+@contextmanager
+def atomic_write(path):
+    """Open a sibling temp file for text that replaces `path` when the block ends.
 
-    The JSON streams into a sibling temp file that then replaces `path`,
-    so a payload that fails to encode, or a write that fails, leaves an
-    existing `path` untouched.  Streaming holds no full copy of the text:
-    a one-shot json.dumps of a checkpoint holds every number's text at once.
+    A block that raises, say from a payload that fails to encode or a
+    write that fails, leaves an existing `path` untouched and removes the
+    temp file.
     """
     path = os.fspath(path)
     tmp = path + ".tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_json(path, payload) -> None:
+    """Write `payload` as compact, key-sorted JSON plus a newline, atomically.
+
+    The JSON streams into the temp file: a one-shot json.dumps of a
+    checkpoint would hold every number's text at once.
+    """
+    with atomic_write(path) as fh:
+        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+        fh.write("\n")
 
 
 def write_dataset(records: list[InteractionRecord], path) -> None:
@@ -336,6 +334,8 @@ def synth_generate(seed: int, n_per_category: int = 2, frames: int = 40,
         raise DataError("synthetic sequences need at least 2 frames")
     if n_per_category < 1:
         raise DataError("n_per_category must be >= 1")
+    if joints < 1:
+        raise DataError("synthetic skeletons need at least 1 joint")
     rng = np.random.default_rng(seed)
     groups = _joint_groups(joints)
     t = np.linspace(0.0, 1.0, frames)

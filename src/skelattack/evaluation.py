@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .attack import EPSILON_GRID, AttackConfig, distance_sum, run_attack
-from .data import InteractionRecord, SkeletonSequence, write_json
+from .data import InteractionRecord, SkeletonSequence, atomic_write, write_json
 
 DEFAULT_TOLERANCES = {
     "handshaking": 79.52,
@@ -77,12 +77,6 @@ class SweepReport:
     epsilon_grid: list[float]
     objectives: list[Objective]
     cells: list[CellResult] = field(default_factory=list)
-
-    def cell(self, objective: str, epsilon: float) -> CellResult:
-        for c in self.cells:
-            if c.objective == objective and c.epsilon == epsilon:
-                return c
-        raise KeyError((objective, epsilon))
 
     def mean_rate(self, epsilon: float) -> float:
         rates = [c.rate for c in self.cells if c.epsilon == epsilon]
@@ -288,7 +282,7 @@ def write_csv(rows: list[dict], path) -> None:
     for row in rows:
         lines.append(",".join(repr(row[h]) if isinstance(row[h], float) else str(row[h])
                               for h in headers))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 

@@ -87,13 +87,13 @@ class GruConfig:
 class TrainConfig:
     epochs: int = 1000
     lr: float = 0.001
-    seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ModelError("epochs must be >= 1")
-        if self.lr <= 0:
-            raise ModelError("learning rate must be positive")
+        # written so that NaN fails every check
+        if not self.epochs >= 1:
+            raise ModelError(f"epochs must be >= 1, got {self.epochs}")
+        if not 0 < self.lr < math.inf:
+            raise ModelError(f"learning rate must be positive and finite, got {self.lr}")
 
 
 def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -219,25 +219,23 @@ GRU_PRESETS = {
 
 def create_model(arch: str, in_dim: int, preset: str = "tiny", seed: int = 0,
                  **overrides) -> SequenceRegressor:
+    presets = {"tcn": TCN_PRESETS, "gru": GRU_PRESETS}.get(arch)
+    if presets is None:
+        raise ModelError(f"unknown architecture {arch!r}")
+    if preset not in presets:
+        raise ModelError(f"unknown {arch} preset {preset!r}; choose from {sorted(presets)}")
     if arch == "tcn":
-        kwargs = dict(TCN_PRESETS[preset])
+        kwargs = dict(presets[preset])
         kwargs.update(overrides)
         return TcnRegressor(TcnConfig(in_dim=in_dim, **kwargs), seed=seed)
-    if arch == "gru":
-        stack = overrides.pop("stack", GRU_PRESETS[preset])
-        if overrides:
-            raise ModelError(f"unknown overrides for gru: {sorted(overrides)}")
-        return GruRegressor(GruConfig(in_dim=in_dim, stack=stack), seed=seed)
-    raise ModelError(f"unknown architecture {arch!r}")
+    stack = overrides.pop("stack", presets[preset])
+    if overrides:
+        raise ModelError(f"unknown overrides for gru: {sorted(overrides)}")
+    return GruRegressor(GruConfig(in_dim=in_dim, stack=stack), seed=seed)
 
 
 # ---------------------------------------------------------------------------
 # training
-
-
-def mse(pred: np.ndarray, target: np.ndarray) -> float:
-    diff = pred - target
-    return float(np.mean(diff * diff))
 
 
 def _group_backward(model: SequenceRegressor, pt: dict[str, ad.Tensor],

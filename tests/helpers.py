@@ -1,6 +1,6 @@
 """Shared test oracles: finite differences, sphere sampling, op dispatch,
 the recurrent layer built from primitive autodiff ops and the per-pair
-training loop.
+training loop, plus small helpers that only tests need.
 
 The finite-difference and sampling oracles stay deliberately independent
 of the library's own gradient and loss code so they can serve as ground
@@ -73,6 +73,39 @@ def corrupt_checkpoint(path, name, shape=None):
         payload["params"][name] = {"shape": list(shape),
                                    "data": [0.0] * int(np.prod(shape))}
     path.write_text(json.dumps(payload), encoding="utf-8")
+
+
+def mse(pred, target):
+    """Mean squared error over every coordinate of every frame."""
+    diff = pred - target
+    return float(np.mean(diff * diff))
+
+
+def serialize_sbu(record):
+    """Render a record back into the capture text layout that parse_sbu_file reads."""
+    lines = []
+    flat_a = record.actor.flat()
+    flat_b = record.reactor.flat()
+    for t in range(record.actor.num_frames):
+        fields = [str(t + 1)]
+        fields.extend(repr(float(v)) for v in flat_a[t])
+        fields.extend(repr(float(v)) for v in flat_b[t])
+        lines.append(",".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+def zero_grad(root):
+    """Reset adjoints on the live graph below (and including) `root`."""
+    for node in ad._topo_order(root):
+        node.grad = None
+
+
+def sweep_cell(report, objective, epsilon):
+    """The cell of a sweep report for one objective label and one epsilon."""
+    for c in report.cells:
+        if c.objective == objective and c.epsilon == epsilon:
+            return c
+    raise KeyError((objective, epsilon))
 
 
 # generic dispatch, for gradient checks that sweep all op kinds

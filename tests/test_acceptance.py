@@ -16,7 +16,7 @@ import pytest
 from skelattack import autodiff as ad
 from skelattack import attack, cli, data, evaluation, models
 
-from tests.helpers import fd_gradients, max_rel_err, sampled_sphere_min
+from tests.helpers import fd_gradients, max_rel_err, sampled_sphere_min, sweep_cell
 from tests.test_autodiff import all_op_gradcheck_cases, op_gradcheck
 
 ARCHIVE_DIR = Path(__file__).resolve().parent.parent / "build" / "acceptance"
@@ -71,7 +71,7 @@ def bench():
         t0 = time.perf_counter()
         model = models.create_model(arch, in_dim, preset="tiny", seed=1, **overrides)
         model, history = models.train(
-            model, split, models.TrainConfig(epochs=BENCH_EPOCHS, lr=0.001, seed=1))
+            model, split, models.TrainConfig(epochs=BENCH_EPOCHS, lr=0.001))
         train_seconds = time.perf_counter() - t0
         state.models[arch] = model
         state.train_ratios[arch] = history[-1] / history[0]
@@ -101,7 +101,7 @@ def bench():
         # smoothness comparison
         pairs = []
         for objective in objectives:
-            cell = report.cell(objective.label, EPSILON_FULL)
+            cell = sweep_cell(report, objective.label, EPSILON_FULL)
             for i, seq in enumerate(inputs):
                 target = evaluation.fit_target_length(objective.target, seq.num_frames)
                 cfg = attack.AttackConfig(target=target, kappa=objective.kappa,

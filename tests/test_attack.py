@@ -225,6 +225,11 @@ def test_config_validation():
         attack.AttackConfig(mask="joints", **kwargs)
     with pytest.raises(attack.AttackError, match="update_rule"):
         attack.AttackConfig(update_rule="sgd", **kwargs)
+    with pytest.raises(attack.AttackError, match="adam_lr"):
+        attack.AttackConfig(adam_lr=0.0, **kwargs)
+    for name in ("epsilon", "alpha", "lam"):
+        with pytest.raises(attack.AttackError):
+            attack.AttackConfig(**{name: float("nan")}, **kwargs)
 
 
 # full attack loop ------------------------------------------------------------

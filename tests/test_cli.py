@@ -1,5 +1,6 @@
 """Command-line pipeline: config handling, artifacts, determinism."""
 
+import fcntl
 import json
 from pathlib import Path
 
@@ -66,6 +67,74 @@ def test_load_config_overrides(tmp_path):
     assert config["attack"]["steps"] == 7
     assert config["kappa_table"]["hugging"] == 10.0
     assert config["kappa_table"]["punching"] == 52.04
+
+
+def input_flags(command, workspace):
+    """The input-file flags `command` needs, pointing into the workspace."""
+    root, _ = workspace
+    dataset = ["--dataset", str(root / "data" / "dataset.json")]
+    model = ["--model-path", str(root / "tcn" / "model.json")]
+    return {"synth": [], "train": dataset, "attack": dataset + model,
+            "eval": dataset + model}[command]
+
+
+def refused_before_out(argv, out, capsys):
+    """Whether argv exits 2 with one error: line and without creating `out`."""
+    return (run(argv + ["--out", str(out)]) == 2 and single_error_line(capsys)
+            and not out.exists())
+
+
+BAD_CONFIGS = [
+    ("synth", {"attack": {"epsilon": "x"}}),
+    ("train", {"train": {"epochs": "5"}}),
+    ("attack", {"data": {"held_out": 5}}),
+    ("eval", {"eval": {"epsilon_grid": 5}}),
+    ("synth", {"data": {"frames": None}}),
+    ("train", {"train": {"preset": "huge"}}),
+    ("synth", {"data": {"joints": 0}}),
+    ("attack", {"attack": {"mask": "foo"}}),
+    ("attack", {"attack": {"kappa": -1}}),
+    ("attack", {"attack": {"update_rule": "sgd"}}),
+    ("eval", {"eval": {"epsilon_grid": ["a"]}}),
+    ("eval", {"attack": {"steps": 2.5}}),
+    ("attack", {"attack": {"lambda": True}}),
+    ("attack", {"attack": {"alpha": float("nan")}}),
+]
+
+
+@pytest.mark.parametrize("command,config", BAD_CONFIGS,
+                         ids=[f"{c}-{json.dumps(v)}" for c, v in BAD_CONFIGS])
+def test_bad_config_value_fails_before_out_exists(command, config, workspace, tmp_path,
+                                                  capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert refused_before_out([command, "--config", str(path)] + input_flags(command, workspace),
+                              tmp_path / "out", capsys)
+
+
+@pytest.mark.parametrize("argv", [["synth", "--frames", "1"],
+                                  ["train", "--epochs", "0"],
+                                  ["train", "--lr", "inf"],
+                                  ["attack", "--epsilon", "nan"]])
+def test_bad_flag_value_fails_before_out_exists(argv, workspace, tmp_path, capsys):
+    assert refused_before_out(argv + input_flags(argv[0], workspace), tmp_path / "out", capsys)
+
+
+@pytest.mark.parametrize("command,config", [("attack", {"attack": {"objective": "waving"}}),
+                                            ("eval", {"eval": {"objectives": ["waving"]}})])
+def test_unknown_objective_fails_before_out_exists(command, config, workspace, tmp_path,
+                                                   capsys):
+    # refused by make_objectives, which runs before the output directory is made
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert refused_before_out([command, "--config", str(path)] + input_flags(command, workspace),
+                              tmp_path / "out", capsys)
+
+
+def test_seed_flag_only_where_a_seed_is_read(capsys):
+    for argv in (["transfer", "--sweep", "s"], ["export", "--result", "r"]):
+        assert run(argv + ["--seed", "1", "--out", "x", "--model-path", "m"]) == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
 # pipeline --------------------------------------------------------------------
@@ -221,10 +290,52 @@ def test_missing_file_nonzero_exit(tmp_path, capsys):
 def test_locked_directory_rejected(workspace, tmp_path):
     out = tmp_path / "locked"
     out.mkdir()
+    root, cfg_path = workspace
+    with open(out / ".lock", "w") as holder:  # a running holder's lock
+        fcntl.flock(holder, fcntl.LOCK_EX)
+        code = run(["synth", "--config", str(cfg_path), "--out", str(out)])
+    assert code != 0
+    assert not (out / "dataset.json").exists()
+
+
+def test_leftover_lock_file_without_holder_does_not_block(workspace, tmp_path):
+    # what a killed run leaves behind: the file, but no lock on it
+    out = tmp_path / "stale"
+    out.mkdir()
     (out / ".lock").touch()
     root, cfg_path = workspace
-    code = run(["synth", "--config", str(cfg_path), "--out", str(out)])
-    assert code != 0
+    assert run(["synth", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert (out / "dataset.json").exists()
+    assert not (out / ".lock").exists()
+
+
+def test_lock_is_taken_on_the_file_at_the_path(workspace, tmp_path, monkeypatch):
+    # a holder finishing between our open and our flock unlinks the file we
+    # opened; locking that file would let a third run lock a new one beside us
+    out = tmp_path / "raced"
+    real_flock = fcntl.flock
+    calls = []
+
+    def flock(fd, operation):
+        if not calls:
+            (out / ".lock").unlink()
+        calls.append(fd)
+        real_flock(fd, operation)
+
+    monkeypatch.setattr(cli.fcntl, "flock", flock)
+    root, cfg_path = workspace
+    assert run(["synth", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert len(calls) == 2
+    assert not (out / ".lock").exists()
+
+
+def test_manifest_write_failing_part_way_leaves_previous_manifest(tmp_path):
+    cli._write_manifest(tmp_path, "synth", {"data": {}}, 0, {}, ["dataset.json"], "t0")
+    before = (tmp_path / "manifest.json").read_bytes()
+    with pytest.raises(TypeError):  # fails after "command" is written
+        cli._write_manifest(tmp_path, "synth", {"data": object()}, 0, {}, [], "t1")
+    assert (tmp_path / "manifest.json").read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
 
 
 def test_lambda_zero_disables_temporal_term(workspace, tmp_path):

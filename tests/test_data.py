@@ -7,6 +7,8 @@ import pytest
 
 from skelattack import data
 
+from tests.helpers import serialize_sbu
+
 
 def write_capture(tmp_path, lines, name="skeleton_pos.txt"):
     path = tmp_path / name
@@ -79,7 +81,7 @@ def test_parse_infers_category_and_set_from_path(tmp_path):
 
 def test_capture_round_trip_preserves_values(tmp_path):
     records = data.synth_generate(seed=3, n_per_category=1, frames=5)
-    text = data.serialize_sbu(records[0])
+    text = serialize_sbu(records[0])
     path = tmp_path / "rt.txt"
     path.write_text(text, encoding="utf-8")
     back = data.parse_sbu_file(path)
@@ -154,6 +156,12 @@ def test_synth_deterministic():
     assert not np.array_equal(a[0].actor.joints, c[0].actor.joints)
 
 
+@pytest.mark.parametrize("sizes", [dict(frames=1), dict(n_per_category=0), dict(joints=0)])
+def test_synth_rejects_degenerate_sizes(sizes):
+    with pytest.raises(data.DataError):
+        data.synth_generate(seed=0, **sizes)
+
+
 def test_synth_counts_and_categories():
     records = data.synth_generate(seed=0, n_per_category=5, frames=4)
     assert len(records) == 40
@@ -226,6 +234,17 @@ def test_write_json_failure_leaves_existing_file_and_no_temp(tmp_path):
         data.write_json(path, {"a": [1.0, object()]})
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+def test_atomic_write_failing_part_way_leaves_existing_file_and_no_temp(tmp_path):
+    path = tmp_path / "report.csv"
+    path.write_bytes(b"a,b\n1,2\n")
+    with pytest.raises(OSError):
+        with data.atomic_write(path) as fh:
+            fh.write("a,b\n3,")
+            raise OSError("no space left on device")
+    assert path.read_bytes() == b"a,b\n1,2\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
 
 
 def test_read_dataset_rejects_garbage(tmp_path):

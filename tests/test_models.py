@@ -9,7 +9,7 @@ from skelattack import autodiff as ad
 from skelattack import data, models
 
 from tests.helpers import (corrupt_checkpoint, fd_gradients, gru_graph_oracle, max_rel_err,
-                           train_per_pair_oracle)
+                           mse, train_per_pair_oracle)
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +92,7 @@ def test_parameter_gradients_match_finite_differences(arch):
     def loss_value(arrays):
         for name, arr in zip(names, arrays):
             model.params[name] = arr
-        return models.mse(model.predict_flat(x), y)
+        return mse(model.predict_flat(x), y)
 
     pt = model.param_tensors(trainable=True)
     out = model.build_graph(ad.Tensor(x), pt)
@@ -183,10 +183,10 @@ def test_train_overfits_single_pair(one_pair):
     model = models.create_model("tcn", one_pair[0].flat().shape[1], seed=2,
                                 hidden_layers=2, channels=24)
     model, history = models.train(model, [one_pair],
-                                  models.TrainConfig(epochs=500, lr=0.001, seed=2))
+                                  models.TrainConfig(epochs=500, lr=0.001))
     assert history[-1] / history[0] < 1e-3
     pred = model.predict(one_pair[0])
-    assert models.mse(pred.flat(), one_pair[1].flat()) == pytest.approx(history[-1], rel=0.5)
+    assert mse(pred.flat(), one_pair[1].flat()) == pytest.approx(history[-1], rel=0.5)
 
 
 def test_train_rejects_zero_epochs():
@@ -205,7 +205,7 @@ def test_train_loss_history_reproducible(one_pair):
     for _ in range(2):
         model = small_model("gru", one_pair[0].flat().shape[1], seed=9)
         _, history = models.train(model, [one_pair],
-                                  models.TrainConfig(epochs=12, lr=0.001, seed=9))
+                                  models.TrainConfig(epochs=12, lr=0.001))
         histories.append(history)
     assert histories[0] == histories[1]
 
@@ -214,7 +214,7 @@ def test_train_diverged_raises(one_pair):
     model = small_model("tcn", one_pair[0].flat().shape[1], seed=1)
     with pytest.raises(models.TrainingDivergedError) as exc:
         models.train(model, [one_pair],
-                     models.TrainConfig(epochs=5, lr=1e160, seed=1))
+                     models.TrainConfig(epochs=5, lr=1e160))
     assert exc.value.epoch >= 1
 
 
@@ -285,6 +285,11 @@ def test_config_validation():
         models.TcnConfig(in_dim=6, hidden_layers=2, dilations=[1, 0])
     with pytest.raises(models.ModelError):
         models.GruConfig(in_dim=6, stack=[])
+    for arch in ("tcn", "gru"):
+        with pytest.raises(models.ModelError, match="preset"):
+            models.create_model(arch, 6, preset="huge")
+    with pytest.raises(models.ModelError, match="learning rate"):
+        models.TrainConfig(lr=float("nan"))
     cfg = models.GruConfig(in_dim=6, stack=[(2, 8), (1, 4)])
     assert cfg.layer_sizes() == [8, 8, 4]
 
