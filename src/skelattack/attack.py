@@ -191,8 +191,13 @@ def domain_bounds(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
+def _projection_box(cfg: AttackConfig, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The domain bounds and the coordinate mask pgd_step projects onto."""
+    return (*domain_bounds(dim), coordinate_mask(cfg.mask, dim))
+
+
 def pgd_step(x_nat: np.ndarray, x_adv: np.ndarray, grad: np.ndarray,
-             cfg: AttackConfig, adam_state: AdamState | None = None
+             cfg: AttackConfig, adam_state: AdamState | None = None, *, _box=None
              ) -> tuple[np.ndarray, AdamState | None]:
     """One projected update of the adversarial sequence.
 
@@ -200,6 +205,7 @@ def pgd_step(x_nat: np.ndarray, x_adv: np.ndarray, grad: np.ndarray,
     substitutes an Adam step on the input.  Either way the perturbation
     is clipped into the epsilon box around the natural input, clamped to
     the coordinate domain, and frozen coordinates are restored exactly.
+    run_attack passes the bounds and mask it built once as `_box`.
     """
     if not (x_nat.shape == x_adv.shape == grad.shape):
         raise AttackError(
@@ -213,11 +219,8 @@ def pgd_step(x_nat: np.ndarray, x_adv: np.ndarray, grad: np.ndarray,
     else:
         candidate = x_adv - cfg.alpha * np.sign(grad)
     delta = np.clip(candidate - x_nat, -cfg.epsilon, cfg.epsilon)
-    projected = x_nat + delta
-    lo, hi = domain_bounds(x_nat.shape[1])
-    projected = np.clip(projected, lo, hi)
-    mask = coordinate_mask(cfg.mask, x_nat.shape[1])
-    projected = np.where(mask, projected, x_nat)
+    lo, hi, mask = _projection_box(cfg, x_nat.shape[1]) if _box is None else _box
+    projected = np.where(mask, np.clip(x_nat + delta, lo, hi), x_nat)
     # rounding in x_nat + delta can overshoot the box by an ulp; nudge those
     # coordinates back so |x' - x| <= epsilon holds exactly on recomputation
     over = np.abs(projected - x_nat) > cfg.epsilon
@@ -259,6 +262,7 @@ def run_attack(model, x, cfg: AttackConfig, on_step=None) -> AttackResult:
             f"target shape {target.shape} does not match input {x_nat.shape}")
 
     x_adv = x_nat.copy()
+    box = _projection_box(cfg, x_nat.shape[1])
     adam_state = None
     loss_trace: list[float] = []
     dist_trace: list[float] = []
@@ -282,7 +286,7 @@ def run_attack(model, x, cfg: AttackConfig, on_step=None) -> AttackResult:
             break
         ad.backward(loss)
         grad = xt.grad if xt.grad is not None else np.zeros_like(x_adv)
-        x_adv, adam_state = pgd_step(x_nat, x_adv, grad, cfg, adam_state)
+        x_adv, adam_state = pgd_step(x_nat, x_adv, grad, cfg, adam_state, _box=box)
         if on_step is not None:
             on_step(m, x_adv.copy())
 

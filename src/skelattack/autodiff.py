@@ -7,9 +7,12 @@ losses are implemented.  Sequence operands are (T, C), or (B, T, C) for
 a batch of B equal-length sequences: matmul, causal_conv1d, gru_layer
 and the row-bias add/subtract compute each sample of a batch bitwise as
 they compute it alone, and add the shared weights' adjoints up over the
-batch in sample order.  There is no general broadcasting; the single
-exception is adding a row vector to every row, which linear layers use
-for their bias term.
+batch in sample order.  Their forward products run one BLAS
+matrix-vector product per row (_rows_times), so output frame t is also
+bitwise the same however many frames follow it; a matrix-matrix product
+over all rows would round differently with their count.  There is no
+general broadcasting; the single exception is adding a row vector to
+every row, which linear layers use for their bias term.
 
 Graph construction and backward are single-threaded per graph instance.
 Distinct graphs share no mutable state and may live on distinct threads.
@@ -118,6 +121,11 @@ def _bias_adjoint(g: np.ndarray) -> np.ndarray:
     return per_sample.sum(axis=0) if per_sample.ndim == 2 else per_sample
 
 
+def _rows_times(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x w for x (..., C) and w (C, K), one matrix-vector product per row of x."""
+    return np.matmul(w.T, x[..., None])[..., 0]
+
+
 def _weight_adjoint(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The adjoint a^T g of a weight that every sample of a batch shares.
 
@@ -195,10 +203,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b.accumulate(_weight_adjoint(va, g))
 
-    # einsum keeps each output row a fixed-order reduction, so row t is
-    # bitwise independent of how many rows follow it (BLAS kernels are not)
-    # and of how many samples are stacked beside it.
-    return _result(np.einsum("...ij,jk->...ik", va, vb), "matmul", (a, b), backward_fn)
+    return _result(_rows_times(va, vb), "matmul", (a, b), backward_fn)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -305,9 +310,11 @@ def causal_conv1d(x: Tensor, w: Tensor, dilation: int = 1) -> Tensor:
     """Causal dilated 1-D convolution over the time axis.
 
     x is (T, C_in), or (B, T, C_in) for a batch, and w is (K, C_in, C_out).
-    The input is left-padded with (K-1)*dilation zero frames, so output
-    frame t depends only on input frames <= t and the sequence length is
-    preserved.
+    Tap k looks (K-1-k)*dilation frames back, into zero frames before the
+    start, so output frame t depends only on input frames <= t and the
+    sequence length is preserved.  A tap that looks back T frames or more
+    sees only zeros; it is skipped, its weight adjoint is zero, and the
+    input is left-padded only as far as the kept taps reach.
     """
     vx, vw = x.value, w.value
     if vx.ndim not in (2, 3) or vw.ndim != 3 or vx.shape[-1] != vw.shape[1]:
@@ -316,25 +323,27 @@ def causal_conv1d(x: Tensor, w: Tensor, dilation: int = 1) -> Tensor:
         raise ValueError(f"causal_conv1d: dilation must be >= 1, got {dilation}")
     frames = vx.shape[-2]
     width = vw.shape[0]
-    pad = (width - 1) * dilation
+    reach = min(width - 1, max(frames - 1, 0) // dilation)  # lag of the first kept tap
+    pad = reach * dilation
     padded = np.zeros(vx.shape[:-2] + (pad + frames, vx.shape[-1]))
     padded[..., pad:, :] = vx
+    # (tap, its window of padded frames), longest lag first
+    taps = [(k, slice(j * dilation, j * dilation + frames))
+            for j, k in enumerate(range(width - 1 - reach, width))]
     out = np.zeros(vx.shape[:-1] + (vw.shape[2],))
-    for k in range(width):
-        # einsum for the same per-row bitwise stability as matmul
-        out += np.einsum("...ij,jk->...ik", padded[..., k * dilation:k * dilation + frames, :],
-                         vw[k])
+    for k, window in taps:
+        out += _rows_times(padded[..., window, :], vw[k])
 
     def backward_fn(g):
         if w.requires_grad:
-            gw = np.empty_like(vw)
-            for k in range(width):
-                gw[k] = _weight_adjoint(padded[..., k * dilation:k * dilation + frames, :], g)
+            gw = np.zeros_like(vw)
+            for k, window in taps:
+                gw[k] = _weight_adjoint(padded[..., window, :], g)
             w.accumulate(gw)
         if x.requires_grad:
             gp = np.zeros_like(padded)
-            for k in range(width):
-                gp[..., k * dilation:k * dilation + frames, :] += g @ vw[k].T
+            for k, window in taps:
+                gp[..., window, :] += g @ vw[k].T
             x.accumulate(gp[..., pad:, :])
 
     return _result(out, "causal_conv1d", (x, w), backward_fn)
@@ -373,9 +382,7 @@ def gru_layer(xp: Tensor, u: Tensor, bh: Tensor) -> Tensor:
     hn = np.empty((frames, batch, hidden))  # h u_n + c_n, the term r gates
     h = np.zeros((batch, hidden))
     for t in range(frames):
-        # an einsum per frame keeps each row's arithmetic independent of the
-        # frames after it and of the other rows, as matmul does
-        hu = np.einsum("ij,jk->ik", h, vu) + vb
+        hu = _rows_times(h, vu) + vb
         zr[t] = 1.0 / (1.0 + np.exp(-(xs[t, :, :two] + hu[:, :two])))
         z, r = zr[t, :, :hidden], zr[t, :, hidden:]
         hn[t] = hu[:, two:]
@@ -404,9 +411,7 @@ def gru_layer(xp: Tensor, u: Tensor, bh: Tensor) -> Tensor:
             dxp_t[:, two:] = dn
             dhu_t[:, :two] = dxp_t[:, :two]
             dhu_t[:, two:] = dn * r_t
-            # one matrix-vector product per sample, each the unbatched
-            # `vu @ dhu_t[i]`; a (B, 3H) x (3H, H) product rounds differently
-            dh = dh * z_t + np.matmul(vu, dhu_t[..., None])[..., 0]
+            dh = dh * z_t + _rows_times(dhu_t, vu.T)
         if xp.requires_grad:
             xp.accumulate(dxp.reshape(vx.shape))
         if u.requires_grad:

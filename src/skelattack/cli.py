@@ -414,8 +414,15 @@ def cmd_export(args, config: dict) -> int:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a usage error as a CliError."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="skelattack",
         description="Craft and evaluate targeted attacks on skeleton-interaction regressors.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -450,7 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attack", help="attack the held-out inputs toward one objective")
     common(p, dataset=True, model_path=True, seed=True)
-    p.add_argument("--objective", dest="attack.objective", choices=CATEGORIES)
+    p.add_argument("--objective", dest="attack.objective", metavar="LABEL",
+                   help="category of the target reaction")
     p.add_argument("--epsilon", dest="attack.epsilon", type=float)
     p.add_argument("--steps", dest="attack.steps", type=int)
     p.add_argument("--lambda", dest="attack.lambda", type=float)
@@ -476,13 +484,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+        # a diverging run is reported below as an error, not as numpy warnings
+        with np.errstate(all="ignore"):
+            return args.func(args, load_config(args.config, _flags(args)))
+    except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return args.func(args, load_config(args.config, _flags(args)))
     except (CliError, DataError, ModelError, EvaluationError, ValueError,
             RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

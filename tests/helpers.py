@@ -1,6 +1,7 @@
 """Shared test oracles: finite differences, sphere sampling, op dispatch,
-the recurrent layer built from primitive autodiff ops and the per-pair
-training loop, plus small helpers that only tests need.
+the fully padded convolution, the recurrent layer built from primitive
+autodiff ops and the per-pair training loop, plus small helpers that
+only tests need.
 
 The finite-difference and sampling oracles stay deliberately independent
 of the library's own gradient and loss code so they can serve as ground
@@ -106,6 +107,28 @@ def sweep_cell(report, objective, epsilon):
         if c.objective == objective and c.epsilon == epsilon:
             return c
     raise KeyError((objective, epsilon))
+
+
+def conv_full_padding_oracle(x, w, dilation, g):
+    """causal_conv1d padded with all (K-1)*dilation zero frames, every tap run.
+
+    x is (T, C_in) or (B, T, C_in), w (K, C_in, C_out) and g the output's
+    adjoint; returns the output and the adjoints of x and w, each tap's
+    products taken as the op takes them.
+    """
+    frames, width = x.shape[-2], w.shape[0]
+    pad = (width - 1) * dilation
+    padded = np.zeros(x.shape[:-2] + (pad + frames, x.shape[-1]))
+    padded[..., pad:, :] = x
+    out = np.zeros(x.shape[:-1] + (w.shape[2],))
+    gp = np.zeros_like(padded)
+    gw = np.empty_like(w)
+    for k in range(width):
+        window = slice(k * dilation, k * dilation + frames)
+        out += ad._rows_times(padded[..., window, :], w[k])
+        gp[..., window, :] += g @ w[k].T
+        gw[k] = ad._weight_adjoint(padded[..., window, :], g)
+    return out, gp[..., pad:, :], gw
 
 
 # generic dispatch, for gradient checks that sweep all op kinds

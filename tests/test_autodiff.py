@@ -5,7 +5,8 @@ import pytest
 
 from skelattack import autodiff as ad
 
-from tests.helpers import fd_gradients, forward_op, max_rel_err, zero_grad
+from tests.helpers import (conv_full_padding_oracle, fd_gradients, forward_op, max_rel_err,
+                           zero_grad)
 
 GRAD_TOL = 1e-4
 FD_STEP = 1e-5
@@ -138,9 +139,12 @@ def test_repeated_use_of_leaf_accumulates():
 
 # every op kind, checked against central finite differences ------------------
 
+FRAMES = 5  # the sequence length of the gradient-check cases
+
+
 def all_op_gradcheck_cases():
     rng = np.random.default_rng(42)
-    t, c = 5, 4
+    t, c = FRAMES, 4
     # keep relu/absolute inputs away from their kinks relative to the fd step
     off_kink = lambda shape: rng.normal(size=shape) + np.sign(rng.normal(size=shape)) * 0.05
     return [
@@ -174,6 +178,9 @@ def all_op_gradcheck_cases():
         ("sum_reduce", [rng.normal(size=(t, c))], {}),
         ("l2_norm", [rng.normal(size=(t, c)) + 0.5], {"axis": -1}),
         ("absolute", [off_kink((t, c))], {}),
+        # every tap but the newest looks back past the first frame
+        ("causal_conv1d", [rng.normal(size=(t, c)), rng.normal(size=(3, c, 2))],
+         {"dilation": t}),
     ]
 
 
@@ -200,10 +207,13 @@ def op_gradcheck(kind, arrays, attrs, weights_seed=7):
 
 
 def case_id(value):
-    """The op kind, and "batched" for a (B, T, C) first operand."""
+    """The op kind, "batched" for a (B, T, C) first operand, and
+    "skipped-taps" for a convolution dilated past the first frame."""
     if isinstance(value, str):
         return value
-    return "batched" if isinstance(value, list) and value[0].ndim == 3 else ""
+    if isinstance(value, dict):
+        return "skipped-taps" if value.get("dilation", 1) >= FRAMES else ""
+    return "batched" if value[0].ndim == 3 else ""
 
 
 @pytest.mark.parametrize("kind,arrays,attrs", all_op_gradcheck_cases(), ids=case_id)
@@ -251,6 +261,40 @@ def test_conv_causality_exact():
             bumped[t] += rng.normal(size=3)
             out = ad.causal_conv1d(ad.Tensor(bumped), ad.Tensor(w), dilation=dilation).value
             assert np.array_equal(out[:t], base[:t])
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4)], ids=["single", "batched"])
+def test_conv_skipped_taps_match_full_padding(shape):
+    # T = 3 < (K - 1) * dilation: the taps that look 3 or more frames back
+    # are skipped, and values and adjoints keep the fully padded op's bits
+    rng = np.random.default_rng(11)
+    x, w = rng.normal(size=shape), rng.normal(size=(3, 4, 5))
+    g = rng.normal(size=shape[:-1] + (5,))
+    for dilation in (2, 3, 4):
+        xt, wt = ad.Tensor(x, requires_grad=True), ad.Tensor(w, requires_grad=True)
+        out = ad.causal_conv1d(xt, wt, dilation=dilation)
+        out._backward_fn(g)
+        want_out, want_gx, want_gw = conv_full_padding_oracle(x, w, dilation, g)
+        assert np.array_equal(out.value, want_out)
+        assert np.array_equal(xt.grad, want_gx)
+        assert np.array_equal(wt.grad, want_gw)
+
+
+@pytest.mark.parametrize("kind,shapes,attrs", [
+    ("matmul", [(40, 45), (45, 256)], {}),
+    ("matmul", [(40, 256), (256, 256)], {}),
+    ("causal_conv1d", [(40, 256), (3, 256, 256)], {"dilation": 4}),
+    ("gru_layer", [(40, 1536), (512, 1536), (1536,)], {}),
+], ids=["matmul-45x256", "matmul-256x256", "causal_conv1d-256x256", "gru_layer-512"])
+def test_prefix_rows_bitwise_at_full_widths(kind, shapes, attrs):
+    # frame t of the op on x[:t'] is bitwise frame t of the op on x, at the
+    # widths of the `full` presets
+    rng = np.random.default_rng(13)
+    x, *weights = [ad.Tensor(rng.uniform(-1.0, 1.0, size=s) / np.sqrt(s[0])) for s in shapes]
+    full = forward_op(kind, [x] + weights, attrs).value
+    for t in range(1, full.shape[0] + 1):
+        prefix = forward_op(kind, [ad.Tensor(x.value[:t])] + weights, attrs).value
+        assert np.array_equal(prefix, full[:t]), t
 
 
 def test_backward_linearity():

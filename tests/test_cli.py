@@ -2,6 +2,7 @@
 
 import fcntl
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -129,6 +130,49 @@ def test_unknown_objective_fails_before_out_exists(command, config, workspace, t
     path.write_text(json.dumps(config), encoding="utf-8")
     assert refused_before_out([command, "--config", str(path)] + input_flags(command, workspace),
                               tmp_path / "out", capsys)
+
+
+def test_objective_flag_refuses_absent_label_before_out_exists(workspace, tmp_path, capsys):
+    argv = ["attack", "--objective", "waving"] + input_flags("attack", workspace)
+    assert refused_before_out(argv, tmp_path / "out", capsys)
+
+
+def test_objective_flag_takes_any_label_the_dataset_holds(workspace, tmp_path):
+    # a capture file parse_sbu_file cannot name gets the category "unknown"
+    root, cfg_path = workspace
+    payload = read_json(root / "data" / "dataset.json")
+    for record in payload["records"]:
+        record["category"] = "unknown"
+    dataset = tmp_path / "unknown.json"
+    dataset.write_text(json.dumps(payload), encoding="utf-8")
+    out = tmp_path / "attack"
+    assert run(["attack", "--config", str(cfg_path), "--dataset", str(dataset),
+                "--model-path", str(root / "tcn" / "model.json"),
+                "--objective", "unknown", "--steps", "1", "--out", str(out)]) == 0
+    assert read_json(out / "results" / "result_000.json")["objective"] == "unknown"
+
+
+@pytest.mark.parametrize("argv", [["train", "--out", "x"], ["bogus"]],
+                         ids=["missing-argument", "unknown-command"])
+def test_usage_error_is_one_error_line(argv, capsys):
+    assert run(argv) == 2
+    assert single_error_line(capsys)
+
+
+def test_help_prints_usage_and_exits_zero(capsys):
+    assert run(["attack", "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: skelattack attack") and not captured.err
+
+
+@pytest.mark.parametrize("arch", ["tcn", "gru"])
+def test_diverging_train_prints_one_error_line(arch, workspace, tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["train", "--model", arch, "--epochs", "2", "--lr", "1e160"]
+                   + input_flags("train", workspace) + ["--out", str(tmp_path / "out")])
+    assert code == 2 and single_error_line(capsys)
+    assert [str(w.message) for w in caught] == []
 
 
 def test_seed_flag_only_where_a_seed_is_read(capsys):
@@ -276,8 +320,8 @@ def test_eval_empty_test_set_fails(workspace, tmp_path):
 
 
 def test_unknown_flag_nonzero_exit(capsys):
-    assert run(["synth", "--frobnicate", "1", "--out", "/tmp/x"]) != 0
-    capsys.readouterr()
+    assert run(["synth", "--frobnicate", "1", "--out", "/tmp/x"]) == 2
+    assert single_error_line(capsys)
 
 
 def test_missing_file_nonzero_exit(tmp_path, capsys):
