@@ -27,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import DEPTH_RANGE, SkeletonSequence, X_RANGE, Y_RANGE
-from .optim import AdamState, adam_update, init_adam
+from .optim import AdamState, adam_update
 
 EPSILON_GRID = (0.075, 0.15, 0.225, 0.3, 0.375, 0.45)
 
@@ -211,8 +211,6 @@ def pgd_step(x_nat: np.ndarray, x_adv: np.ndarray, grad: np.ndarray,
         raise AttackError(
             f"shapes differ: {x_nat.shape}, {x_adv.shape}, {grad.shape}")
     if cfg.update_rule == "adam":
-        if adam_state is None:
-            adam_state = init_adam({"x": x_adv})
         stepped, adam_state = adam_update({"x": x_adv}, {"x": grad}, adam_state,
                                           lr=cfg.adam_lr)
         candidate = stepped["x"]
@@ -269,26 +267,28 @@ def run_attack(model, x, cfg: AttackConfig, on_step=None) -> AttackResult:
     best_x = x_adv
     best_dist = math.inf
     best_step = 0
-    for m in range(cfg.steps + 1):
-        xt = ad.Tensor(x_adv, requires_grad=True, op="input")
-        loss, output = adv_loss(model, xt, target, cfg)
-        loss_value = float(loss.value)
-        if not math.isfinite(loss_value):
-            raise AttackDivergedError(m)
-        dist = distance_sum(output.value, target)
-        loss_trace.append(loss_value)
-        dist_trace.append(dist)
-        if dist < best_dist:
-            best_dist = dist
-            best_x = x_adv
-            best_step = m
-        if m == cfg.steps:
-            break
-        ad.backward(loss)
-        grad = xt.grad if xt.grad is not None else np.zeros_like(x_adv)
-        x_adv, adam_state = pgd_step(x_nat, x_adv, grad, cfg, adam_state, _box=box)
-        if on_step is not None:
-            on_step(m, x_adv.copy())
+    # a diverging attack ends in AttackDivergedError, not in numpy warnings
+    with np.errstate(all="ignore"):
+        for m in range(cfg.steps + 1):
+            xt = ad.Tensor(x_adv, requires_grad=True, op="input")
+            loss, output = adv_loss(model, xt, target, cfg)
+            loss_value = float(loss.value)
+            if not math.isfinite(loss_value):
+                raise AttackDivergedError(m)
+            dist = distance_sum(output.value, target)
+            loss_trace.append(loss_value)
+            dist_trace.append(dist)
+            if dist < best_dist:
+                best_dist = dist
+                best_x = x_adv
+                best_step = m
+            if m == cfg.steps:
+                break
+            ad.backward(loss)
+            grad = xt.grad if xt.grad is not None else np.zeros_like(x_adv)
+            x_adv, adam_state = pgd_step(x_nat, x_adv, grad, cfg, adam_state, _box=box)
+            if on_step is not None:
+                on_step(m, x_adv.copy())
 
     success = best_dist < cfg.kappa
     return AttackResult(

@@ -65,27 +65,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(op={self.op!r}, shape={self.value.shape})"
 
-    # Arithmetic sugar; scalars multiply, tensors combine elementwise.
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return subtract(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return multiply(self, other)
-        return scalar_multiply(self, float(other))
-
-    def __rmul__(self, other):
-        return scalar_multiply(self, float(other))
-
-    def __neg__(self) -> "Tensor":
-        return scalar_multiply(self, -1.0)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
 
 def _result(value: np.ndarray, op: str, children: tuple[Tensor, ...],
             backward_fn: Callable[[np.ndarray], None]) -> Tensor:

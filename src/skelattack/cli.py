@@ -29,13 +29,12 @@ import numpy as np
 from . import __version__
 from .attack import (EPSILON_GRID, SETTINGS, AttackConfig, AttackError, result_to_dict,
                      run_attack)
-from .data import (CATEGORIES, DEFAULT_HELD_OUT_SETS, DataError, SkeletonSequence,
-                   atomic_write, held_out_records, read_dataset, split_by_sets,
+from .data import (CATEGORIES, DEFAULT_HELD_OUT_SETS, SkeletonSequence, array_from_json,
+                   atomic_write, held_out_records, read_dataset, read_json, split_by_sets,
                    synth_generate, write_dataset, write_json)
-from .evaluation import (DEFAULT_TOLERANCES, EvaluationError, blackbox_transfer,
-                         fit_target_length, load_sweep, make_objectives,
-                         report_rows, save_sweep, transfer_rows,
-                         whitebox_sweep, write_csv)
+from .evaluation import (DEFAULT_TOLERANCES, blackbox_transfer, fit_target_length,
+                         load_sweep, make_objectives, report_rows, save_sweep,
+                         transfer_rows, whitebox_sweep, write_csv)
 from .models import (GRU_PRESETS, TCN_PRESETS, ModelError, TrainConfig,
                      create_model, load_model, save_model, train)
 
@@ -178,13 +177,20 @@ def _flags(args: argparse.Namespace) -> dict:
 # artifact plumbing
 
 
-@contextmanager
-def _locked_outdir(out: Path):
-    """Hold an exclusive flock on out/.lock for the block.
+# the manifest's name for each input-file argument a command may take
+_INPUTS = {"dataset": "dataset", "sweep": "sweep", "result": "result", "model_path": "model"}
 
-    The kernel releases a flock when its holder dies, so a killed run
-    leaves at most an unlocked .lock file, which the next run takes over.
+
+@contextmanager
+def _artifacts(args, config: dict, seed: int):
+    """Lock --out for the block; yield it and a list for the names of the outputs.
+
+    The lock is an exclusive flock on out/.lock.  The kernel releases a
+    flock when its holder dies, so a killed run leaves at most an unlocked
+    .lock file, which the next run takes over.  A block that ends without
+    error then writes manifest.json, naming the input files and the outputs.
     """
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     lock = out / ".lock"
     while True:
@@ -203,27 +209,25 @@ def _locked_outdir(out: Path):
             break
         os.close(fd)
     try:
-        yield
+        outputs: list[str] = []
+        yield out, outputs
+        manifest = {
+            "command": args.command,
+            "tool_version": __version__,
+            "seed": seed,
+            "config": config,
+            "inputs": {name: str(getattr(args, arg)) for arg, name in _INPUTS.items()
+                       if hasattr(args, arg)},
+            "outputs": sorted(outputs),
+            "started_at": args.started_at,
+            "finished_at": _now(),
+        }
+        with atomic_write(out / "manifest.json") as fh:
+            json.dump(manifest, fh, sort_keys=True, indent=2)
+            fh.write("\n")
     finally:
         os.unlink(lock)
         os.close(fd)
-
-
-def _write_manifest(out: Path, command: str, config: dict, seed: int,
-                    inputs: dict, outputs: list[str], started: str) -> None:
-    manifest = {
-        "command": command,
-        "tool_version": __version__,
-        "seed": seed,
-        "config": config,
-        "inputs": inputs,
-        "outputs": sorted(outputs),
-        "started_at": started,
-        "finished_at": _now(),
-    }
-    with atomic_write(out / "manifest.json") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
 
 
 def _now() -> str:
@@ -235,11 +239,17 @@ def _load_test_inputs(dataset_path, held_out) -> tuple[list, list[SkeletonSequen
     held = held_out_records(records, held_out)
     if not held:
         raise CliError("no held-out records: the test set is empty")
-    inputs: list[SkeletonSequence] = []
-    for record in held:
-        inputs.append(record.actor)
-        inputs.append(record.reactor)
-    return records, inputs
+    return records, [seq for record in held for seq in (record.actor, record.reactor)]
+
+
+def _load_model_for(path, inputs: list[np.ndarray]):
+    """The checkpoint at `path`, refused unless its input width is every input's."""
+    model = load_model(path)
+    for x in inputs:
+        if x.shape[-1] != model.in_dim:
+            raise CliError(f"model {path} takes {model.in_dim} input coordinates per "
+                           f"frame, its inputs have {x.shape[-1]}")
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -248,34 +258,28 @@ def _load_test_inputs(dataset_path, held_out) -> tuple[list, list[SkeletonSequen
 
 def cmd_synth(args, config: dict) -> int:
     dcfg = config["data"]
-    out = Path(args.out)
-    started = _now()
     records = synth_generate(seed=dcfg["seed"], n_per_category=dcfg["per_category"],
                              frames=dcfg["frames"], joints=dcfg["joints"])
-    with _locked_outdir(out):
+    with _artifacts(args, config, dcfg["seed"]) as (out, outputs):
         write_dataset(records, out / "dataset.json")
-        _write_manifest(out, "synth", config, dcfg["seed"], {}, ["dataset.json"], started)
+        outputs.append("dataset.json")
     print(f"wrote {len(records)} records to {out / 'dataset.json'}")
     return 0
 
 
 def cmd_train(args, config: dict) -> int:
     tcfg = config["train"]
-    out = Path(args.out)
-    started = _now()
     records = read_dataset(args.dataset)
     split = split_by_sets(records, config["data"]["held_out"])
     in_dim = split.train[0][0].flat().shape[1]
     model = create_model(tcfg["model"], in_dim, preset=tcfg["preset"], seed=tcfg["seed"])
-    with _locked_outdir(out):
+    with _artifacts(args, config, tcfg["seed"]) as (out, outputs):
         model, history = train(model, split, _train_settings(tcfg))
         save_model(model, out / "model.json")
         lines = ["epoch,loss"] + [f"{i},{loss!r}" for i, loss in enumerate(history)]
         with atomic_write(out / "loss_history.csv") as fh:
             fh.write("\n".join(lines) + "\n")
-        _write_manifest(out, "train", config, tcfg["seed"],
-                        {"dataset": str(args.dataset)},
-                        ["model.json", "loss_history.csv"], started)
+        outputs += ["model.json", "loss_history.csv"]
     print(f"trained {tcfg['model']} for {tcfg['epochs']} epochs; "
           f"final loss {history[-1]:.6g}")
     return 0
@@ -283,19 +287,15 @@ def cmd_train(args, config: dict) -> int:
 
 def cmd_attack(args, config: dict) -> int:
     acfg = config["attack"]
-    out = Path(args.out)
-    started = _now()
-    model = load_model(args.model_path)
     records, inputs = _load_test_inputs(args.dataset, config["data"]["held_out"])
+    model = _load_model_for(args.model_path, [seq.flat() for seq in inputs])
     objective = make_objectives(records, [acfg["objective"]], config["kappa_table"],
                                 seed=acfg["seed"],
                                 prefer_ids=config["data"]["held_out"])[0]
     kappa = acfg["kappa"] if acfg["kappa"] is not None else objective.kappa
     base = _attack_settings(acfg)
-    outputs = []
-    with _locked_outdir(out):
-        results_dir = out / "results"
-        results_dir.mkdir(exist_ok=True)
+    with _artifacts(args, config, acfg["seed"]) as (out, outputs):
+        (out / "results").mkdir(exist_ok=True)
         for i, seq in enumerate(inputs):
             target = fit_target_length(objective.target, seq.num_frames)
             cfg = dataclasses.replace(base, target=target, kappa=kappa)
@@ -308,9 +308,6 @@ def cmd_attack(args, config: dict) -> int:
             name = f"results/result_{i:03d}.json"
             write_json(out / name, payload)
             outputs.append(name)
-        _write_manifest(out, "attack", config, acfg["seed"],
-                        {"dataset": str(args.dataset), "model": str(args.model_path)},
-                        outputs, started)
     print(f"attacked {len(inputs)} samples toward {objective.label!r} "
           f"(epsilon={acfg['epsilon']}, kappa={kappa:.4g})")
     return 0
@@ -318,17 +315,15 @@ def cmd_attack(args, config: dict) -> int:
 
 def cmd_eval(args, config: dict) -> int:
     ecfg = config["eval"]
-    out = Path(args.out)
-    started = _now()
-    model = load_model(args.model_path)
     records, inputs = _load_test_inputs(args.dataset, config["data"]["held_out"])
+    model = _load_model_for(args.model_path, [seq.flat() for seq in inputs])
     labels = ecfg["objectives"] if ecfg["objectives"] is not None else list(CATEGORIES)
     objectives = make_objectives(records, labels, config["kappa_table"],
                                  seed=ecfg["seed"],
                                  prefer_ids=config["data"]["held_out"])
     base = _attack_settings(config["attack"])
     model_id = f"{model.arch}:{Path(args.model_path).name}"
-    with _locked_outdir(out):
+    with _artifacts(args, config, ecfg["seed"]) as (out, outputs):
         report = whitebox_sweep(model, model_id, inputs, objectives,
                                 epsilon_grid=ecfg["epsilon_grid"], base_cfg=base)
         write_csv(report_rows(report), out / "report.csv")
@@ -340,35 +335,28 @@ def cmd_eval(args, config: dict) -> int:
                                      for e in report.epsilon_grid},
         }
         write_json(out / "summary.json", summary)
-        _write_manifest(out, "eval", config, ecfg["seed"],
-                        {"dataset": str(args.dataset), "model": str(args.model_path)},
-                        ["report.csv", "sweep.json", "summary.json"], started)
+        outputs += ["report.csv", "sweep.json", "summary.json"]
     for eps in report.epsilon_grid:
         print(f"epsilon={eps}: mean success rate {report.mean_rate(eps):.3f}")
     return 0
 
 
 def cmd_transfer(args, config: dict) -> int:
-    out = Path(args.out)
-    started = _now()
     sweep = load_sweep(args.sweep)
-    receiver = load_model(args.model_path)
+    receiver = _load_model_for(args.model_path,
+                               [adv for cell in sweep.cells for adv in cell.adversarial])
     receiver_id = f"{receiver.arch}:{Path(args.model_path).name}"
-    with _locked_outdir(out):
+    with _artifacts(args, config, 0) as (out, outputs):
         entry = blackbox_transfer(sweep, receiver, receiver_id)
         write_csv(transfer_rows(entry), out / "transfer.csv")
-        _write_manifest(out, "transfer", config, 0,
-                        {"sweep": str(args.sweep), "model": str(args.model_path)},
-                        ["transfer.csv"], started)
+        outputs.append("transfer.csv")
     rates = [c.rate for c in entry.cells]
     print(f"transfer {sweep.model_id} -> {receiver_id}: "
           f"mean rate {sum(rates) / len(rates):.3f}")
     return 0
 
 
-def _sequence_csv(flat: list[list[float]] | np.ndarray) -> str:
-    arr = np.asarray(flat, dtype=np.float64)
-    seq = SkeletonSequence.from_flat(arr)
+def _sequence_csv(seq: SkeletonSequence) -> str:
     lines = ["frame,joint,x,y,depth"]
     for t in range(seq.num_frames):
         for j in range(seq.num_joints):
@@ -378,35 +366,21 @@ def _sequence_csv(flat: list[list[float]] | np.ndarray) -> str:
 
 
 def cmd_export(args, config: dict) -> int:
-    out = Path(args.out)
-    started = _now()
-    model = load_model(args.model_path)
-    try:
-        with open(args.result, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        natural = np.array(payload["natural"], dtype=np.float64)
-        adversarial = np.array(payload["adversarial"], dtype=np.float64)
-        target = np.array(payload["target"], dtype=np.float64)
-    except (json.JSONDecodeError, KeyError) as exc:
-        raise CliError(f"not an attack result file: {exc}") from None
-    roles = {
-        "natural_input": natural,
-        "adversarial_input": adversarial,
-        "target": target,
-        "natural_output": model.predict_flat(natural),
-        "adversarial_output": model.predict_flat(adversarial),
-    }
-    outputs = []
-    with _locked_outdir(out):
-        for role, arr in roles.items():
+    result = read_json(
+        args.result, CliError(f"not an attack result file {args.result}"),
+        lambda payload: {key: SkeletonSequence.from_flat(array_from_json(payload[key]))
+                         for key in ("natural", "adversarial", "target")})
+    model = _load_model_for(args.model_path, [seq.flat() for seq in result.values()])
+    sequences = {"natural_input": result["natural"], "adversarial_input": result["adversarial"],
+                 "target": result["target"], "natural_output": model.predict(result["natural"]),
+                 "adversarial_output": model.predict(result["adversarial"])}
+    with _artifacts(args, config, 0) as (out, outputs):
+        for role, seq in sequences.items():
             name = f"{role}.csv"
             with atomic_write(out / name) as fh:
-                fh.write(_sequence_csv(arr))
+                fh.write(_sequence_csv(seq))
             outputs.append(name)
-        _write_manifest(out, "export", config, 0,
-                        {"result": str(args.result), "model": str(args.model_path)},
-                        outputs, started)
-    print(f"exported {len(roles)} sequences to {out}")
+    print(f"exported {len(sequences)} sequences to {out}")
     return 0
 
 
@@ -486,13 +460,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        # a diverging run is reported below as an error, not as numpy warnings
-        with np.errstate(all="ignore"):
-            return args.func(args, load_config(args.config, _flags(args)))
+        args.started_at = _now()
+        return args.func(args, load_config(args.config, _flags(args)))
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except (CliError, DataError, ModelError, EvaluationError, ValueError,
-            RuntimeError, OSError) as exc:
+    except (CliError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

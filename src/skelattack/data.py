@@ -5,6 +5,10 @@ files store x and y normalized to [0, 1] and depth in [0, 7.8125]; the
 synthetic generator stays inside the same ranges so both sources pass
 the same validation.  All functions here are pure and safe to call
 concurrently.
+
+read_json and write_json are the one reader and the one writer of every
+JSON artifact (datasets, checkpoints, sweeps, attack results); a JSON
+array becomes a float64 array, NaN and Infinity refused, in array_from_json.
 """
 
 from __future__ import annotations
@@ -54,8 +58,8 @@ class ParseError(DataError):
         super().__init__(message)
 
 
-class ValidationError(DataError):
-    pass
+class ValidationError(ParseError):
+    """A parsed value lies outside its range or is not finite."""
 
 
 @dataclass
@@ -157,24 +161,27 @@ def parse_sbu_file(path, category: str | None = None, set_id: str | None = None,
     expected = 1 + 2 * per_person
     frames_a: list[np.ndarray] = []
     frames_b: list[np.ndarray] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if not strict:
-                while fields and fields[-1].strip() == "":
-                    fields.pop()
-            if len(fields) != expected:
-                raise ParseError(
-                    f"expected {expected} fields, got {len(fields)}", line=lineno)
-            try:
-                values = np.array([float(f) for f in fields[1:]], dtype=np.float64)
-            except ValueError as exc:
-                raise ParseError(f"bad number: {exc}", line=lineno) from None
-            frames_a.append(values[:per_person].reshape(NUM_JOINTS, 3))
-            frames_b.append(values[per_person:].reshape(NUM_JOINTS, 3))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not a UTF-8 text file: {exc}") from None
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        fields = line.split(",")
+        if not strict:
+            while fields and fields[-1].strip() == "":
+                fields.pop()
+        if len(fields) != expected:
+            raise ParseError(
+                f"expected {expected} fields, got {len(fields)}", line=lineno)
+        try:
+            values = np.array([float(f) for f in fields[1:]], dtype=np.float64)
+        except ValueError as exc:
+            raise ParseError(f"bad number: {exc}", line=lineno) from None
+        frames_a.append(values[:per_person].reshape(NUM_JOINTS, 3))
+        frames_b.append(values[per_person:].reshape(NUM_JOINTS, 3))
     if not frames_a:
         raise ParseError("file contains no frames")
     actor = SkeletonSequence(np.stack(frames_a))
@@ -249,19 +256,42 @@ def write_json(path, payload) -> None:
         fh.write("\n")
 
 
+def read_json(path, error: Exception, build):
+    """Return build(payload) for the JSON object in the UTF-8 file `path`.
+
+    Any other file (nested too deep for the parser, say), and a KeyError,
+    TypeError, ValueError, AttributeError or OverflowError out of `build`,
+    raise an exception of `error`'s type whose message is `error`'s plus
+    the cause.  An exception of that type passes through.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise TypeError(f"the file holds a JSON {type(payload).__name__}, not an object")
+        return build(payload)
+    except type(error):
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError,
+            RecursionError) as exc:
+        raise type(error)(f"{error}: {exc}") from None
+
+
+def array_from_json(value) -> np.ndarray:
+    """A JSON number or (nested) array as a float64 array; NaN and Infinity are refused."""
+    arr = np.array(value, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("the file holds a non-finite value")
+    return arr
+
+
 def write_dataset(records: list[InteractionRecord], path) -> None:
     write_json(path, {"records": [record_to_dict(r) for r in records]})
 
 
 def read_dataset(path) -> list[InteractionRecord]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"not a valid dataset file: {exc}") from None
-    if not isinstance(payload, dict) or "records" not in payload:
-        raise ParseError("dataset file has no 'records' field")
-    return [record_from_dict(r) for r in payload["records"]]
+    return read_json(path, ParseError("not a valid dataset file (an object with 'records')"),
+                     lambda payload: [record_from_dict(r) for r in payload["records"]])
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,13 @@ reproduces the white-box flags bit for bit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .attack import EPSILON_GRID, AttackConfig, distance_sum, run_attack
-from .data import InteractionRecord, SkeletonSequence, atomic_write, write_json
+from .data import (InteractionRecord, SkeletonSequence, array_from_json, atomic_write,
+                   read_json, write_json)
 
 DEFAULT_TOLERANCES = {
     "handshaking": 79.52,
@@ -310,27 +310,43 @@ def save_sweep(report: SweepReport, path) -> None:
 
 
 def load_sweep(path) -> SweepReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-            objectives = [
-                Objective(label=o["label"],
-                          target=SkeletonSequence.from_flat(np.array(o["target"])),
-                          kappa=o["kappa"])
-                for o in payload["objectives"]
-            ]
-            report = SweepReport(model_id=payload["model_id"],
-                                 epsilon_grid=payload["epsilon_grid"],
-                                 objectives=objectives)
-            for c in payload["cells"]:
-                report.cells.append(CellResult(
-                    objective=c["objective"], epsilon=c["epsilon"], kappa=c["kappa"],
-                    flags=[bool(f) for f in c["flags"]], sums=c["sums"],
-                    adversarial=[np.array(a, dtype=np.float64) for a in c["adversarial"]]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise EvaluationError(f"malformed sweep file {path}: {exc!r}") from None
-    sequences = [o.target.joints for o in report.objectives]
-    sequences += [a for c in report.cells for a in c.adversarial]
-    if not all(np.all(np.isfinite(a)) for a in sequences):
-        raise EvaluationError(f"sweep file {path} holds a non-finite coordinate")
+    return read_json(path, EvaluationError(f"malformed sweep file {path}"), _sweep_from_json)
+
+
+def _finite_number(value):
+    """`value` unchanged, once it is a finite JSON number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    array_from_json(value)
+    return value
+
+
+def _sweep_from_json(payload: dict) -> SweepReport:
+    objectives = [
+        Objective(label=o["label"],
+                  target=SkeletonSequence.from_flat(array_from_json(o["target"])),
+                  kappa=_finite_number(o["kappa"]))
+        for o in payload["objectives"]
+    ]
+    widths = {o.label: o.target.flat().shape[1] for o in objectives}
+    report = SweepReport(model_id=payload["model_id"],
+                         epsilon_grid=[_finite_number(e) for e in payload["epsilon_grid"]],
+                         objectives=objectives)
+    for c in payload["cells"]:
+        if c["objective"] not in widths:
+            raise ValueError(f"a cell names objective {c['objective']!r}, "
+                             f"which the sweep does not list")
+        adversarial = [array_from_json(a) for a in c["adversarial"]]
+        if not adversarial:
+            raise ValueError("a cell holds no adversarial sequences")
+        for a in adversarial:
+            if a.ndim != 2 or a.shape[1] != widths[c["objective"]]:
+                raise ValueError(f"an adversarial sequence of shape {a.shape} for a target "
+                                 f"{widths[c['objective']]} coordinates wide")
+        report.cells.append(CellResult(
+            objective=c["objective"], epsilon=_finite_number(c["epsilon"]),
+            kappa=_finite_number(c["kappa"]), flags=[bool(f) for f in c["flags"]],
+            sums=[_finite_number(v) for v in c["sums"]], adversarial=adversarial))
+    if not report.cells:
+        raise ValueError("the sweep holds no cells")
     return report

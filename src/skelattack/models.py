@@ -15,14 +15,13 @@ single-threaded per model.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from . import autodiff as ad
-from .data import DatasetSplit, SkeletonSequence, write_json
+from .data import DatasetSplit, SkeletonSequence, array_from_json, read_json, write_json
 from .optim import adam_update
 
 CHECKPOINT_FORMAT = "skelattack-model"
@@ -286,21 +285,23 @@ def train(model: SequenceRegressor,
               for members in by_length.values()]
     history: list[float] = []
     state = None
-    for epoch in range(cfg.epochs):
-        pt = model.param_tensors(trainable=True)
-        pair_loss = [0.0] * len(flat_pairs)
-        for members, xs, ys in groups:
-            for i, loss in zip(members, _group_backward(model, pt, xs, ys)):
-                pair_loss[i] = loss
-        epoch_loss = 0.0
-        for loss in pair_loss:  # in pair order; sum() compensates on Python >= 3.12
-            epoch_loss += loss
-        epoch_loss /= len(flat_pairs)
-        if not math.isfinite(epoch_loss):
-            raise TrainingDivergedError(epoch, epoch_loss)
-        history.append(epoch_loss)
-        grads = {k: t.grad / len(flat_pairs) for k, t in pt.items()}
-        model.params, state = adam_update(model.params, grads, state, lr=cfg.lr)
+    # a diverging run ends in TrainingDivergedError, not in numpy warnings
+    with np.errstate(all="ignore"):
+        for epoch in range(cfg.epochs):
+            pt = model.param_tensors(trainable=True)
+            pair_loss = [0.0] * len(flat_pairs)
+            for members, xs, ys in groups:
+                for i, loss in zip(members, _group_backward(model, pt, xs, ys)):
+                    pair_loss[i] = loss
+            epoch_loss = 0.0
+            for loss in pair_loss:  # in pair order; sum() compensates on Python >= 3.12
+                epoch_loss += loss
+            epoch_loss /= len(flat_pairs)
+            if not math.isfinite(epoch_loss):
+                raise TrainingDivergedError(epoch, epoch_loss)
+            history.append(epoch_loss)
+            grads = {k: t.grad / len(flat_pairs) for k, t in pt.items()}
+            model.params, state = adam_update(model.params, grads, state, lr=cfg.lr)
     return model, history
 
 
@@ -323,12 +324,12 @@ def save_model(model: SequenceRegressor, path) -> None:
 
 
 def load_model(path, expected_arch: str | None = None) -> SequenceRegressor:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"corrupted checkpoint: {exc}") from None
-    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
+    return read_json(path, CheckpointError(f"corrupted checkpoint {path}"),
+                     lambda payload: _model_from_json(payload, expected_arch))
+
+
+def _model_from_json(payload: dict, expected_arch: str | None) -> SequenceRegressor:
+    if payload.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError("not a model checkpoint")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {payload.get('version')}")
@@ -340,14 +341,9 @@ def load_model(path, expected_arch: str | None = None) -> SequenceRegressor:
     if arch not in classes:
         raise CheckpointError(f"unknown architecture {arch!r}")
     cls, config_cls = classes[arch]
-    try:
-        config = config_cls(**payload["config"])
-        params = {
-            name: np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-            for name, entry in payload["params"].items()
-        }
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"malformed checkpoint: {exc}") from None
+    config = config_cls(**payload["config"])
+    params = {name: array_from_json(entry["data"]).reshape(entry["shape"])
+              for name, entry in payload["params"].items()}
     expected = {name: shape for name, (shape, _) in cls.param_specs(config).items()}
     found = {name: arr.shape for name, arr in params.items()}
     if found != expected:
@@ -356,7 +352,4 @@ def load_model(path, expected_arch: str | None = None) -> SequenceRegressor:
         raise CheckpointError(
             f"checkpoint parameter {name}: shape {found.get(name)} in the file, "
             f"{expected.get(name)} for its {arch} config")
-    for name, arr in params.items():
-        if not np.all(np.isfinite(arr)):
-            raise CheckpointError(f"checkpoint parameter {name} holds a non-finite value")
     return cls(config, params=params)

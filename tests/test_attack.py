@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -339,6 +340,18 @@ def test_run_attack_diverges_on_nan_model(fixture_sample):
     with pytest.raises(attack.AttackDivergedError) as exc:
         attack.run_attack(model, x, cfg)
     assert exc.value.step == 0
+
+
+@pytest.mark.parametrize("arch", ["tcn", "gru"])
+def test_run_attack_divergence_is_raised_not_warned(arch, fixture_sample):
+    x, target = fixture_sample
+    model = tiny_model(x.flat().shape[1], arch=arch, seed=4)
+    model.params = {name: p * 1e200 for name, p in model.params.items()}
+    cfg = attack.AttackConfig(target=target, kappa=1.0, steps=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(attack.AttackDivergedError):
+            attack.run_attack(model, x, cfg)
 
 
 def test_run_attack_requires_target_and_kappa(fixture_sample):

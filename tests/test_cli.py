@@ -1,7 +1,9 @@
 """Command-line pipeline: config handling, artifacts, determinism."""
 
+import argparse
 import fcntl
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -374,10 +376,13 @@ def test_lock_is_taken_on_the_file_at_the_path(workspace, tmp_path, monkeypatch)
 
 
 def test_manifest_write_failing_part_way_leaves_previous_manifest(tmp_path):
-    cli._write_manifest(tmp_path, "synth", {"data": {}}, 0, {}, ["dataset.json"], "t0")
+    args = argparse.Namespace(command="synth", out=str(tmp_path), started_at="t0")
+    with cli._artifacts(args, {"data": {}}, 0) as (_, outputs):
+        outputs.append("dataset.json")
     before = (tmp_path / "manifest.json").read_bytes()
     with pytest.raises(TypeError):  # fails after "command" is written
-        cli._write_manifest(tmp_path, "synth", {"data": object()}, 0, {}, [], "t1")
+        with cli._artifacts(args, {"data": object()}, 0):
+            pass
     assert (tmp_path / "manifest.json").read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
 
@@ -487,3 +492,112 @@ def test_sweep_with_non_finite_sequence_fails_closed(workspace, tmp_path, capsys
                 "--out", str(tmp_path / "out")]) == 2
     assert single_error_line(capsys)
     assert not (tmp_path / "out" / "transfer.csv").exists()
+
+
+# malformed input files ---------------------------------------------------------
+
+def tiny_result(width=SEQUENCE_SHAPE[1]):
+    """The part of an attack result file that export reads, over 6-frame sequences."""
+    seq = np.full((SEQUENCE_SHAPE[0], width), 0.4).tolist()
+    return {"natural": seq, "adversarial": seq, "target": seq}
+
+
+def edit(*keys, value=None, delete=False):
+    """An edit that sets (or deletes) the entry at `keys` of a JSON payload."""
+    def apply(payload):
+        node = payload
+        for key in keys[:-1]:
+            node = node[key]
+        if delete:
+            del node[keys[-1]]
+        else:
+            node[keys[-1]] = value
+        return json.dumps(payload).encode("utf-8")
+    return apply
+
+
+def fixed(raw):
+    """An edit that ignores the payload and gives the bytes `raw`."""
+    return lambda payload: raw
+
+
+NOT_UTF8 = b'{"records": "\xe9t\xe9"}'
+
+# (id, file kind, edit of the kind's valid payload into the file's bytes)
+PROBES = [
+    ("dataset-not-utf8", "dataset", fixed(NOT_UTF8)),
+    ("dataset-not-json", "dataset", fixed(b"{not json")),
+    ("dataset-root-list", "dataset", fixed(b"[1, 2, 3]")),
+    ("dataset-records-number", "dataset", edit("records", value=5)),
+    ("dataset-records-of-numbers", "dataset", edit("records", value=[1])),
+    ("dataset-record-without-actor", "dataset", edit("records", 0, "actor", delete=True)),
+    ("dataset-nan-coordinate", "dataset", edit("records", 0, "actor", 0, 0, value=math.nan)),
+    ("checkpoint-not-utf8", "checkpoint", fixed(NOT_UTF8)),
+    ("checkpoint-truncated", "checkpoint", lambda p: json.dumps(p).encode("utf-8")[:200]),
+    ("checkpoint-params-list", "checkpoint", edit("params", value=[1])),
+    ("checkpoint-config-number", "checkpoint", edit("config", value=5)),
+    ("checkpoint-nan-parameter", "checkpoint", edit("params", "head_b", "data", 0,
+                                                    value=math.nan)),
+    ("checkpoint-400-digit-parameter", "checkpoint", edit("params", "head_b", "data", 0,
+                                                          value=10 ** 400)),
+    ("sweep-not-json", "sweep", fixed(b'{"cells": [}')),
+    ("sweep-nan-kappa", "sweep", edit("cells", 0, "kappa", value=math.nan)),
+    ("sweep-string-epsilon", "sweep", edit("cells", 0, "epsilon", value="0.45")),
+    ("sweep-unknown-objective", "sweep", edit("cells", 0, "objective", value="waving")),
+    ("sweep-no-cells", "sweep", edit("cells", value=[])),
+    ("sweep-1d-adversarial", "sweep", edit("cells", 0, "adversarial", 0,
+                                           value=[0.4] * SEQUENCE_SHAPE[1])),
+    ("result-root-list", "result", fixed(b"[]")),
+    ("result-nan-natural", "result", edit("natural", 2, 1, value=math.nan)),
+    ("result-without-adversarial", "result", edit("adversarial", delete=True)),
+]
+
+
+def probe_argv(kind, path, workspace, tmp_path):
+    """The command that reads a file of `kind` at `path`; every other input is valid."""
+    root, cfg_path = workspace
+    model = str(root / "tcn" / "model.json")
+    if kind == "dataset":
+        return ["train", "--config", str(cfg_path), "--dataset", str(path), "--epochs", "1"]
+    if kind == "checkpoint":
+        sweep = tmp_path / "valid_sweep.json"
+        sweep.write_text(json.dumps(tiny_sweep(np.full(SEQUENCE_SHAPE, 0.4))), encoding="utf-8")
+        return ["transfer", "--sweep", str(sweep), "--model-path", str(path)]
+    if kind == "sweep":
+        return ["transfer", "--sweep", str(path), "--model-path", model]
+    return ["export", "--result", str(path), "--model-path", model]
+
+
+def valid_payload(kind, workspace):
+    root, _ = workspace
+    if kind == "dataset":
+        return read_json(root / "data" / "dataset.json")
+    if kind == "checkpoint":
+        return read_json(root / "tcn" / "model.json")
+    if kind == "sweep":
+        return tiny_sweep(np.full(SEQUENCE_SHAPE, 0.4))
+    return tiny_result()
+
+
+@pytest.mark.parametrize("kind,make", [p[1:] for p in PROBES], ids=[p[0] for p in PROBES])
+def test_malformed_input_file_fails_closed(kind, make, workspace, tmp_path, capsys):
+    path = tmp_path / f"{kind}.json"
+    path.write_bytes(make(valid_payload(kind, workspace)))
+    assert refused_before_out(probe_argv(kind, path, workspace, tmp_path),
+                              tmp_path / "out", capsys)
+
+
+@pytest.mark.parametrize("command", ["attack", "eval", "transfer", "export"])
+def test_model_of_another_input_width_fails_before_out_exists(command, workspace, tmp_path,
+                                                              capsys):
+    narrow = tmp_path / "narrow.json"
+    models.save_model(models.create_model("tcn", 6, seed=1), narrow)
+    if command in ("attack", "eval"):
+        argv = [command] + input_flags(command, workspace)[:2] + ["--model-path", str(narrow)]
+    else:
+        kind = "sweep" if command == "transfer" else "result"
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(valid_payload(kind, workspace)), encoding="utf-8")
+        argv = probe_argv(kind, path, workspace, tmp_path)
+        argv[argv.index("--model-path") + 1] = str(narrow)
+    assert refused_before_out(argv, tmp_path / "out", capsys)

@@ -1,6 +1,7 @@
 """Regressor contracts: shapes, causality, training, checkpoints."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -216,6 +217,15 @@ def test_train_diverged_raises(one_pair):
         models.train(model, [one_pair],
                      models.TrainConfig(epochs=5, lr=1e160))
     assert exc.value.epoch >= 1
+
+
+@pytest.mark.parametrize("arch", ["tcn", "gru"])
+def test_train_divergence_is_raised_not_warned(arch, one_pair):
+    model = small_model(arch, one_pair[0].flat().shape[1], seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(models.TrainingDivergedError):
+            models.train(model, [one_pair], models.TrainConfig(epochs=5, lr=1e160))
 
 
 def test_train_accepts_split(tiny_records):
