@@ -103,12 +103,13 @@ class AttackResult:
 # losses
 
 
-def distance_sum(output: np.ndarray, target: np.ndarray) -> float:
-    """Sum over frames of the L2 distance between output and target."""
+def distance_sum(output: np.ndarray, target: np.ndarray):
+    """Sum over frames of the L2 distance; for (B, T, C), a list of each row's own sum."""
     if output.shape != target.shape:
         raise AttackError(
             f"output {output.shape} and target {target.shape} shapes differ")
-    return float(np.sum(np.sqrt(np.sum((output - target) ** 2, axis=-1))))
+    sums = np.sum(np.sqrt(np.sum((output - target) ** 2, axis=-1)), axis=-1)
+    return float(sums) if sums.ndim == 0 else sums.tolist()
 
 
 def spatial_loss(output: ad.Tensor, target: np.ndarray, eta: float) -> ad.Tensor:

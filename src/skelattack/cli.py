@@ -346,8 +346,8 @@ def cmd_transfer(args, config: dict) -> int:
     receiver = _load_model_for(args.model_path,
                                [adv for cell in sweep.cells for adv in cell.adversarial])
     receiver_id = f"{receiver.arch}:{Path(args.model_path).name}"
+    entry = blackbox_transfer(sweep, receiver, receiver_id)
     with _artifacts(args, config, 0) as (out, outputs):
-        entry = blackbox_transfer(sweep, receiver, receiver_id)
         write_csv(transfer_rows(entry), out / "transfer.csv")
         outputs.append("transfer.csv")
     rates = [c.rate for c in entry.cells]

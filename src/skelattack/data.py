@@ -148,13 +148,12 @@ def _infer_from_path(path: Path) -> tuple[str | None, str | None]:
     return category, set_id
 
 
-def parse_sbu_file(path, category: str | None = None, set_id: str | None = None,
-                   strict: bool = True) -> InteractionRecord:
+def parse_sbu_file(path, category: str | None = None,
+                   set_id: str | None = None) -> InteractionRecord:
     """Parse a two-person capture file into an InteractionRecord.
 
     Each line is a frame index followed by 90 comma-separated reals
-    (2 persons x 15 joints x 3 coordinates).  In strict mode every value
-    is range-checked; the lenient mode also tolerates trailing separators.
+    (2 persons x 15 joints x 3 coordinates); every value is range-checked.
     """
     path = Path(path)
     per_person = NUM_JOINTS * 3
@@ -170,9 +169,6 @@ def parse_sbu_file(path, category: str | None = None, set_id: str | None = None,
         if not line:
             continue
         fields = line.split(",")
-        if not strict:
-            while fields and fields[-1].strip() == "":
-                fields.pop()
         if len(fields) != expected:
             raise ParseError(
                 f"expected {expected} fields, got {len(fields)}", line=lineno)
@@ -186,9 +182,8 @@ def parse_sbu_file(path, category: str | None = None, set_id: str | None = None,
         raise ParseError("file contains no frames")
     actor = SkeletonSequence(np.stack(frames_a))
     reactor = SkeletonSequence(np.stack(frames_b))
-    if strict:
-        actor.validate_ranges()
-        reactor.validate_ranges()
+    actor.validate_ranges()
+    reactor.validate_ranges()
     inferred_cat, inferred_set = _infer_from_path(path)
     return InteractionRecord(
         actor=actor,

@@ -7,11 +7,11 @@ reaction.  Per-reaction tolerances come from a built-in table of values
 judged by human observers; reactions missing from the table fall back
 to the mean of the present entries.
 
-Success flags are always recomputed here from the stored adversarial
-sequences and the judging model's own forward pass, never read off the
-attack's cached numbers.  That makes transfer evaluation trivially
-consistent: feeding sequences back into the model that produced them
-reproduces the white-box flags bit for bit.
+Every success flag (sweep cells, transfer) and derived tolerance comes
+from judge(): a batched forward pass of the judging model over stored
+sequences, never the attack's cached numbers.  So feeding sequences back
+into the model that produced them reproduces the white-box flags bit for
+bit.
 """
 
 from __future__ import annotations
@@ -134,36 +134,46 @@ def make_objectives(records: list[InteractionRecord],
     return objectives
 
 
-def natural_sums(model, inputs: list[SkeletonSequence], objective: Objective) -> list[float]:
-    """Distance sums of unattacked outputs against the objective's target."""
-    sums = []
-    for seq in inputs:
-        target = fit_target_length(objective.target, seq.num_frames)
-        sums.append(distance_sum(model.predict_flat(seq.flat()), target.flat()))
-    return sums
-
-
 def derive_kappa(model, inputs: list[SkeletonSequence], objective: Objective,
                  percentile: float = 25.0) -> float:
     """Percentile of the natural distance sums, for survey-free tolerances."""
-    return float(np.percentile(natural_sums(model, inputs, objective), percentile))
+    fitted = [fit_target_length(objective.target, seq.num_frames).flat() for seq in inputs]
+    _, sums = judge(model, [s.flat() for s in inputs], fitted, [objective.kappa] * len(inputs))
+    return float(np.percentile(sums, percentile))
 
 
 # ---------------------------------------------------------------------------
-# sweeps and transfer
+# judging, sweeps and transfer
 
 
-def judge_output(output: np.ndarray, target: np.ndarray, kappa: float
-                 ) -> tuple[bool, float]:
-    """The success criterion on a model output: its distance sum is below kappa."""
-    total = distance_sum(output, target)
-    return total < kappa, total
+# The bytes one batched judging pass may give its widest layer's activations
+# (rows x frames x widest weight width x 8).  Larger batches gain no speed
+# at the full presets and cost memory at every scale.
+_TRANSFER_BYTES = 2 ** 20
 
 
-def judge(model, adversarial: np.ndarray, target: np.ndarray, kappa: float
-          ) -> tuple[bool, float]:
-    """Recompute the success criterion under `model`'s forward pass."""
-    return judge_output(model.predict_flat(adversarial), target, kappa)
+def judge(model, sequences: list[np.ndarray], targets: list[np.ndarray],
+          kappas: list[float]) -> tuple[list[bool], list[float]]:
+    """Each sequence's success flag and distance sum under `model`'s forward pass.
+
+    Success is a distance sum below the sequence's kappa.  Sequences of one
+    shape share batched passes, as many rows per pass as _TRANSFER_BYTES
+    allows; a row's output and sum are bitwise its own, so batching changes nothing.
+    """
+    by_shape: dict[tuple, list[int]] = {}
+    for i, seq in enumerate(sequences):
+        by_shape.setdefault(seq.shape, []).append(i)
+    widest = max(p.shape[-1] for p in model.params.values())
+    sums = [0.0] * len(sequences)
+    for (frames, _), members in by_shape.items():
+        per_pass = max(1, _TRANSFER_BYTES // (frames * widest * 8))
+        for lo in range(0, len(members), per_pass):
+            chunk = members[lo:lo + per_pass]
+            rows = model.predict_flat(np.stack([sequences[i] for i in chunk]))
+            totals = distance_sum(rows, np.stack([targets[i] for i in chunk]))
+            for i, total in zip(chunk, totals):
+                sums[i] = total
+    return [total < kappa for total, kappa in zip(sums, kappas)], sums
 
 
 def whitebox_sweep(model, model_id: str,
@@ -172,72 +182,50 @@ def whitebox_sweep(model, model_id: str,
                    epsilon_grid=None,
                    base_cfg: AttackConfig | None = None,
                    on_result=None) -> SweepReport:
-    """Attack every (sample, objective, epsilon) cell and aggregate rates."""
+    """Attack every (sample, objective, epsilon) cell and aggregate rates.
+
+    `on_result` sees each attack as it ends; a cell is judged after its attacks.
+    """
     if not inputs:
         raise EvaluationError("no test inputs to attack")
     grid = list(epsilon_grid) if epsilon_grid is not None else list(EPSILON_GRID)
     base = base_cfg if base_cfg is not None else AttackConfig()
     report = SweepReport(model_id=model_id, epsilon_grid=grid, objectives=objectives)
     for objective in objectives:
+        targets = [fit_target_length(objective.target, seq.num_frames) for seq in inputs]
         for eps in grid:
-            flags, sums, advs = [], [], []
-            for seq in inputs:
-                target = fit_target_length(objective.target, seq.num_frames)
+            advs = []
+            for seq, target in zip(inputs, targets):
                 cfg = replace(base, target=target, kappa=objective.kappa, epsilon=eps)
                 result = run_attack(model, seq, cfg)
-                adv = result.adversarial.flat()
-                ok, total = judge(model, adv, target.flat(), objective.kappa)
-                flags.append(ok)
-                sums.append(total)
-                advs.append(adv)
+                advs.append(result.adversarial.flat())
                 if on_result is not None:
                     on_result(objective.label, eps, result)
+            flags, sums = judge(model, advs, [t.flat() for t in targets],
+                                [objective.kappa] * len(advs))
             report.cells.append(CellResult(
                 objective=objective.label, epsilon=eps, kappa=objective.kappa,
                 flags=flags, sums=sums, adversarial=advs))
     return report
 
 
-# The bytes one batched transfer pass may give its widest layer's activations
-# (rows x frames x widest weight width x 8).  Larger batches gain no speed
-# at the full presets and cost memory at every scale.
-_TRANSFER_BYTES = 2 ** 20
-
-
 def blackbox_transfer(sweep: SweepReport, receiver, receiver_id: str) -> TransferEntry:
     """Re-judge a sweep's adversarial sequences under another model.
 
-    Sequences of one shape are stacked and judged in batched forward
-    passes of the receiver, as many rows per pass as _TRANSFER_BYTES
-    allows.  A batched row is bitwise the sequence's own forward, so flags
-    and sums equal judge()'s.
+    All cells go to one judge() call, so sequences of one shape share
+    batched passes across cells.
     """
     targets = {o.label: o.target for o in sweep.objectives}
-    advs = [adv for cell in sweep.cells for adv in cell.adversarial]
-    by_shape: dict[tuple, list[int]] = {}
-    for i, adv in enumerate(advs):
-        by_shape.setdefault(adv.shape, []).append(i)
-    widest = max(p.shape[-1] for p in receiver.params.values())
-    outputs: list[np.ndarray] = [None] * len(advs)
-    for (frames, _), members in by_shape.items():
-        per_pass = max(1, _TRANSFER_BYTES // (frames * widest * 8))
-        for lo in range(0, len(members), per_pass):
-            chunk = members[lo:lo + per_pass]
-            rows = receiver.predict_flat(np.stack([advs[i] for i in chunk]))
-            for i, row in zip(chunk, rows):
-                outputs[i] = row
+    pairs = [(cell, adv) for cell in sweep.cells for adv in cell.adversarial]
+    flags, sums = judge(receiver, [adv for _, adv in pairs],
+                        [fit_target_length(targets[c.objective], adv.shape[0]).flat()
+                         for c, adv in pairs], [c.kappa for c, _ in pairs])
     entry = TransferEntry(source_id=sweep.model_id, receiver_id=receiver_id)
-    done = iter(outputs)
+    lo = 0
     for cell in sweep.cells:
-        flags, sums = [], []
-        for adv in cell.adversarial:
-            target = fit_target_length(targets[cell.objective], adv.shape[0])
-            ok, total = judge_output(next(done), target.flat(), cell.kappa)
-            flags.append(ok)
-            sums.append(total)
-        entry.cells.append(CellResult(
-            objective=cell.objective, epsilon=cell.epsilon, kappa=cell.kappa,
-            flags=flags, sums=sums, adversarial=cell.adversarial))
+        hi = lo + len(cell.adversarial)
+        entry.cells.append(replace(cell, flags=flags[lo:hi], sums=sums[lo:hi]))
+        lo = hi
     return entry
 
 

@@ -142,7 +142,11 @@ class SequenceRegressor:
         return self.build_graph(x, pt), pt
 
     def predict_flat(self, x: np.ndarray) -> np.ndarray:
-        out, _ = self.forward(ad.Tensor(x))
+        # an overflowing forward ends in ModelError, not in numpy warnings
+        with np.errstate(all="ignore"):
+            out, _ = self.forward(ad.Tensor(x))
+        if not np.isfinite(out.value).all():
+            raise ModelError("the model's output is not finite")
         return out.value
 
     def predict(self, seq: SkeletonSequence) -> SkeletonSequence:
@@ -341,7 +345,14 @@ def _model_from_json(payload: dict, expected_arch: str | None) -> SequenceRegres
     if arch not in classes:
         raise CheckpointError(f"unknown architecture {arch!r}")
     cls, config_cls = classes[arch]
-    config = config_cls(**payload["config"])
+    # every layer has parameters: refuse more layers than entries before building them
+    fields, entries = payload["config"], len(payload["params"])
+    layers = (fields.get("hidden_layers", TcnConfig.hidden_layers) if arch == "tcn"
+              else sum(int(entry[0]) for entry in fields.get("stack", ())))
+    if layers > entries:
+        raise CheckpointError(f"checkpoint config names {layers} layers, more than its "
+                              f"{entries} parameter entries")
+    config = config_cls(**fields)
     params = {name: array_from_json(entry["data"]).reshape(entry["shape"])
               for name, entry in payload["params"].items()}
     expected = {name: shape for name, (shape, _) in cls.param_specs(config).items()}

@@ -587,17 +587,37 @@ def test_malformed_input_file_fails_closed(kind, make, workspace, tmp_path, caps
                               tmp_path / "out", capsys)
 
 
+def argv_with_model(command, model_path, workspace, tmp_path):
+    """`command` reading the checkpoint at `model_path`; every other input is valid."""
+    if command in ("attack", "eval"):
+        return [command] + input_flags(command, workspace)[:2] + ["--model-path", str(model_path)]
+    kind = "sweep" if command == "transfer" else "result"
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(valid_payload(kind, workspace)), encoding="utf-8")
+    argv = probe_argv(kind, path, workspace, tmp_path)
+    argv[argv.index("--model-path") + 1] = str(model_path)
+    return argv
+
+
 @pytest.mark.parametrize("command", ["attack", "eval", "transfer", "export"])
 def test_model_of_another_input_width_fails_before_out_exists(command, workspace, tmp_path,
                                                               capsys):
     narrow = tmp_path / "narrow.json"
     models.save_model(models.create_model("tcn", 6, seed=1), narrow)
-    if command in ("attack", "eval"):
-        argv = [command] + input_flags(command, workspace)[:2] + ["--model-path", str(narrow)]
-    else:
-        kind = "sweep" if command == "transfer" else "result"
-        path = tmp_path / f"{kind}.json"
-        path.write_text(json.dumps(valid_payload(kind, workspace)), encoding="utf-8")
-        argv = probe_argv(kind, path, workspace, tmp_path)
-        argv[argv.index("--model-path") + 1] = str(narrow)
-    assert refused_before_out(argv, tmp_path / "out", capsys)
+    assert refused_before_out(argv_with_model(command, narrow, workspace, tmp_path),
+                              tmp_path / "out", capsys)
+
+
+@pytest.mark.parametrize("command", ["transfer", "export"])
+def test_model_with_overflowing_output_fails_before_out_exists(command, workspace, tmp_path,
+                                                               capsys):
+    root, _ = workspace
+    model = models.load_model(root / "tcn" / "model.json")
+    model.params = {name: p * 1e200 for name, p in model.params.items()}
+    loud = tmp_path / "loud.json"
+    models.save_model(model, loud)
+    argv = argv_with_model(command, loud, workspace, tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert refused_before_out(argv, tmp_path / "out", capsys)
+    assert [str(w.message) for w in caught] == []

@@ -46,9 +46,6 @@ def test_parse_strict_rejects_out_of_range(tmp_path):
     fields[1] = "1.5"  # x beyond [0, 1]
     with pytest.raises(data.ValidationError):
         data.parse_sbu_file(write_capture(tmp_path, [",".join(fields)]))
-    # lenient parsing still loads it
-    record = data.parse_sbu_file(write_capture(tmp_path, [",".join(fields)]), strict=False)
-    assert record.actor.joints[0, 0, 0] == 1.5
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -61,12 +58,16 @@ def test_parse_strict_rejects_non_finite(bad, tmp_path):
         data.parse_sbu_file(write_capture(tmp_path, [",".join(fields)]))
 
 
-def test_parse_lenient_tolerates_trailing_separator(tmp_path):
+def test_parse_has_no_mode_that_accepts_non_finite_values(tmp_path):
+    path = write_capture(tmp_path, ["1," + ",".join(["nan"] * 90)])
+    with pytest.raises(TypeError, match="strict"):
+        data.parse_sbu_file(path, strict=False)
+
+
+def test_parse_refuses_trailing_separator(tmp_path):
     path = write_capture(tmp_path, [zero_line() + ","])
     with pytest.raises(data.ParseError):
         data.parse_sbu_file(path)
-    record = data.parse_sbu_file(path, strict=False)
-    assert record.actor.num_frames == 1
 
 
 def test_parse_infers_category_and_set_from_path(tmp_path):

@@ -55,6 +55,10 @@ def test_distance_sum_matches_bruteforce():
     tgt = rng.normal(size=(7, 9))
     assert attack.distance_sum(out, tgt) == pytest.approx(
         brute_distance_sum(out, tgt), rel=1e-12)
+    for shape in [(5, 7, 9), (3, 40, 45), (2, 300, 45)]:
+        outs, tgts = rng.normal(size=shape), rng.normal(size=shape)
+        assert attack.distance_sum(outs, tgts) == [attack.distance_sum(o, t)
+                                                   for o, t in zip(outs, tgts)]
 
 
 # objectives ------------------------------------------------------------------
@@ -109,7 +113,8 @@ def test_derive_kappa_is_percentile(bench):
     records, held, inputs, model = bench
     objective = evaluation.make_objectives(records, ["punching"],
                                            evaluation.DEFAULT_TOLERANCES, seed=1)[0]
-    sums = evaluation.natural_sums(model, inputs, objective)
+    sums = [attack.distance_sum(model.predict_flat(seq.flat()), evaluation.fit_target_length(
+        objective.target, seq.num_frames).flat()) for seq in inputs]
     assert evaluation.derive_kappa(model, inputs, objective, 25.0) \
         == pytest.approx(float(np.percentile(sums, 25.0)))
 
@@ -148,6 +153,32 @@ def test_sweep_requires_inputs(bench):
     records, held, inputs, model = bench
     with pytest.raises(evaluation.EvaluationError, match="no test inputs"):
         evaluation.whitebox_sweep(model, "m", [], [], epsilon_grid=[0.3])
+
+
+def test_sweep_reports_each_attack_in_order_and_judges_each_cell_once(bench, monkeypatch):
+    records, held, inputs, model = bench
+    objectives = [evaluation.Objective(label, records[i].reactor.copy(), 6.0)
+                  for label, i in (("kicking", 4), ("punching", 6))]
+    events = []
+    judge = evaluation.judge
+
+    def counting_judge(*args):
+        events.append("judge")
+        return judge(*args)
+
+    monkeypatch.setattr(evaluation, "judge", counting_judge)
+    report = evaluation.whitebox_sweep(
+        model, "m", inputs, objectives, epsilon_grid=[0.15, 0.45],
+        base_cfg=attack.AttackConfig(steps=2),
+        on_result=lambda label, eps, result: events.append((label, eps, result)))
+    expected = []
+    for cell in report.cells:
+        expected += [(cell.objective, cell.epsilon)] * len(inputs) + ["judge"]
+    assert [e if e == "judge" else e[:2] for e in events] == expected
+    results = iter(e[2] for e in events if e != "judge")
+    for cell in report.cells:
+        for adv in cell.adversarial:
+            assert np.array_equal(next(results).adversarial.flat(), adv)
 
 
 def test_sweep_flags_recomputable_from_stored_sequences(bench):
@@ -200,7 +231,8 @@ def test_batched_transfer_equals_judging_each_sequence(bench, monkeypatch):
     for cell in entry.cells:
         for adv, flag, total in zip(cell.adversarial, cell.flags, cell.sums):
             fitted = evaluation.fit_target_length(target, adv.shape[0]).flat()
-            assert (flag, total) == evaluation.judge(receiver, adv, fitted, cell.kappa)
+            reference = attack.distance_sum(receiver.predict_flat(adv), fitted)
+            assert (flag, total) == (reference < cell.kappa, reference)
 
 
 def test_transfer_zero_output_receiver(bench):

@@ -286,6 +286,18 @@ def test_checkpoint_parameters_checked_against_config(arch, name, shape, tmp_pat
         models.load_model(path)
 
 
+@pytest.mark.parametrize("arch,config", [("tcn", {"hidden_layers": 20_000, "dilations": None}),
+                                         ("gru", {"stack": [[20_000, 4]]})])
+def test_checkpoint_naming_more_layers_than_parameters_refused_first(arch, config, tmp_path):
+    path = tmp_path / "model.json"
+    models.save_model(small_model(arch, 6), path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["config"].update(config)
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(models.CheckpointError, match="names 20000 layers, more than its"):
+        models.load_model(path)
+
+
 def test_config_validation():
     with pytest.raises(models.ModelError):
         models.TcnConfig(in_dim=6, hidden_layers=0)
@@ -302,6 +314,16 @@ def test_config_validation():
         models.TrainConfig(lr=float("nan"))
     cfg = models.GruConfig(in_dim=6, stack=[(2, 8), (1, 4)])
     assert cfg.layer_sizes() == [8, 8, 4]
+
+
+def test_predict_refuses_non_finite_output_without_warning(one_pair):
+    seq = one_pair[0].flat()
+    model = small_model("tcn", seq.shape[1], seed=1)
+    model.params = {name: p * 1e200 for name, p in model.params.items()}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(models.ModelError, match="not finite"):
+            model.predict_flat(seq)
 
 
 def test_predict_safe_from_many_threads(one_pair):
