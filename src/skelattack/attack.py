@@ -63,8 +63,8 @@ class AttackConfig:
 
     def __post_init__(self):
         # written so that NaN fails every check
-        if not self.epsilon > 0:
-            raise AttackError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < math.inf:
+            raise AttackError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not self.alpha > 0:
             raise AttackError(f"alpha must be positive, got {self.alpha}")
         if not self.steps >= 1:

@@ -54,12 +54,18 @@ class Tensor:
         return self.value.shape
 
     def accumulate(self, g: np.ndarray, index=None) -> None:
-        """Add `g` onto the adjoint, or onto its `index` part only."""
-        if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        if index is None:
+        """Add `g` onto the adjoint, or onto its `index` part only.
+
+        A first whole adjoint is g + 0.0, a fresh array bitwise equal to
+        zeros + g (so -0.0 becomes +0.0) without the zero fill.
+        """
+        if self.grad is None and index is None:
+            self.grad = g + 0.0
+        elif index is None:
             self.grad += g
         else:
+            if self.grad is None:
+                self.grad = np.zeros_like(self.value)
             self.grad[index] += g
 
     def __repr__(self) -> str:

@@ -19,6 +19,7 @@ import dataclasses
 import datetime
 import fcntl
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -125,7 +126,7 @@ def _read_config(path) -> dict:
     if not text.strip():
         return {}
     try:
-        user = json.loads(text, parse_constant=_refuse_constant)
+        user = json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         raise CliError(f"config is not valid JSON: {exc}") from None
     if not isinstance(user, dict):
@@ -133,8 +134,12 @@ def _read_config(path) -> dict:
     return user
 
 
-def _refuse_constant(name: str):
-    raise CliError(f"config holds {name}, which is not a JSON number")
+def _finite_float(text: str) -> float:
+    """The float a config number stands for; NaN, Infinity and 1e999 are refused."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise CliError(f"config holds {text}, which is not a finite number")
+    return value
 
 
 def _check_type(name: str, value, like) -> None:
@@ -276,9 +281,8 @@ def cmd_train(args, config: dict) -> int:
     with _artifacts(args, config, tcfg["seed"]) as (out, outputs):
         model, history = train(model, split, _train_settings(tcfg))
         save_model(model, out / "model.json")
-        lines = ["epoch,loss"] + [f"{i},{loss!r}" for i, loss in enumerate(history)]
-        with atomic_write(out / "loss_history.csv") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_csv([{"epoch": i, "loss": loss} for i, loss in enumerate(history)],
+                  out / "loss_history.csv")
         outputs += ["model.json", "loss_history.csv"]
     print(f"trained {tcfg['model']} for {tcfg['epochs']} epochs; "
           f"final loss {history[-1]:.6g}")
@@ -303,8 +307,8 @@ def cmd_attack(args, config: dict) -> int:
             payload = result_to_dict(result)
             payload["objective"] = objective.label
             payload["sample_index"] = i
-            payload["natural"] = seq.flat().tolist()
-            payload["target"] = target.flat().tolist()
+            payload["natural"] = seq.flat()
+            payload["target"] = target.flat()
             name = f"results/result_{i:03d}.json"
             write_json(out / name, payload)
             outputs.append(name)
@@ -356,15 +360,6 @@ def cmd_transfer(args, config: dict) -> int:
     return 0
 
 
-def _sequence_csv(seq: SkeletonSequence) -> str:
-    lines = ["frame,joint,x,y,depth"]
-    for t in range(seq.num_frames):
-        for j in range(seq.num_joints):
-            x, y, d = (repr(float(v)) for v in seq.joints[t, j])
-            lines.append(f"{t},{j},{x},{y},{d}")
-    return "\n".join(lines) + "\n"
-
-
 def cmd_export(args, config: dict) -> int:
     result = read_json(
         args.result, CliError(f"not an attack result file {args.result}"),
@@ -377,8 +372,9 @@ def cmd_export(args, config: dict) -> int:
     with _artifacts(args, config, 0) as (out, outputs):
         for role, seq in sequences.items():
             name = f"{role}.csv"
-            with atomic_write(out / name) as fh:
-                fh.write(_sequence_csv(seq))
+            write_csv([{"frame": t, "joint": j, "x": x, "y": y, "depth": d}
+                       for t, frame in enumerate(seq.joints.tolist())
+                       for j, (x, y, d) in enumerate(frame)], out / name)
             outputs.append(name)
     print(f"exported {len(sequences)} sequences to {out}")
     return 0

@@ -137,6 +137,8 @@ def make_objectives(records: list[InteractionRecord],
 def derive_kappa(model, inputs: list[SkeletonSequence], objective: Objective,
                  percentile: float = 25.0) -> float:
     """Percentile of the natural distance sums, for survey-free tolerances."""
+    if not inputs:
+        raise EvaluationError("no test inputs to derive a tolerance from")
     fitted = [fit_target_length(objective.target, seq.num_frames).flat() for seq in inputs]
     _, sums = judge(model, [s.flat() for s in inputs], fitted, [objective.kappa] * len(inputs))
     return float(np.percentile(sums, percentile))
@@ -233,33 +235,19 @@ def blackbox_transfer(sweep: SweepReport, receiver, receiver_id: str) -> Transfe
 # persistence
 
 
+def _cell_rows(models: dict, cells: list[CellResult]) -> list[dict]:
+    """One CSV row per cell: the `models` columns, then the cell's counts."""
+    return [{**models, "objective": c.objective, "epsilon": c.epsilon,
+             "successes": sum(c.flags), "samples": len(c.flags), "rate": c.rate}
+            for c in cells]
+
+
 def report_rows(report: SweepReport) -> list[dict]:
-    return [
-        {
-            "model": report.model_id,
-            "objective": c.objective,
-            "epsilon": c.epsilon,
-            "successes": sum(c.flags),
-            "samples": len(c.flags),
-            "rate": c.rate,
-        }
-        for c in report.cells
-    ]
+    return _cell_rows({"model": report.model_id}, report.cells)
 
 
 def transfer_rows(entry: TransferEntry) -> list[dict]:
-    return [
-        {
-            "source": entry.source_id,
-            "receiver": entry.receiver_id,
-            "objective": c.objective,
-            "epsilon": c.epsilon,
-            "successes": sum(c.flags),
-            "samples": len(c.flags),
-            "rate": c.rate,
-        }
-        for c in entry.cells
-    ]
+    return _cell_rows({"source": entry.source_id, "receiver": entry.receiver_id}, entry.cells)
 
 
 def write_csv(rows: list[dict], path) -> None:
@@ -279,7 +267,7 @@ def save_sweep(report: SweepReport, path) -> None:
         "model_id": report.model_id,
         "epsilon_grid": report.epsilon_grid,
         "objectives": [
-            {"label": o.label, "kappa": o.kappa, "target": o.target.flat().tolist()}
+            {"label": o.label, "kappa": o.kappa, "target": o.target.flat()}
             for o in report.objectives
         ],
         "cells": [
@@ -289,7 +277,7 @@ def save_sweep(report: SweepReport, path) -> None:
                 "kappa": c.kappa,
                 "flags": c.flags,
                 "sums": c.sums,
-                "adversarial": [a.tolist() for a in c.adversarial],
+                "adversarial": c.adversarial,
             }
             for c in report.cells
         ],

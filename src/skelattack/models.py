@@ -320,7 +320,7 @@ def save_model(model: SequenceRegressor, path) -> None:
         "arch": model.arch,
         "config": asdict(model.config),
         "params": {
-            name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+            name: {"shape": list(arr.shape), "data": arr.ravel()}
             for name, arr in model.params.items()
         },
     }

@@ -130,6 +130,23 @@ def test_adjoint_reset_makes_backward_idempotent():
     assert np.array_equal(x.grad, first)
 
 
+def test_leaves_fed_one_adjoint_get_their_own_arrays():
+    a = ad.Tensor([1.0, 2.0, 3.0], requires_grad=True)
+    b = ad.Tensor([4.0, 5.0, 6.0], requires_grad=True)
+    ad.backward(ad.sum_reduce(ad.add(a, b)))  # add hands one g to both leaves
+    assert a.grad is not b.grad
+    a.grad += 1.0
+    assert np.array_equal(b.grad, [1.0, 1.0, 1.0])
+
+    g = np.array([-0.0, 2.5])
+    c = ad.Tensor([0.0, 0.0], requires_grad=True)
+    c.accumulate(g)
+    assert c.grad is not g and np.signbit(c.grad).tolist() == [False, False]
+    c.accumulate(g)
+    assert np.array_equal(c.grad, [0.0, 5.0])
+    assert np.signbit(g[0]) and g[1] == 2.5
+
+
 def test_repeated_use_of_leaf_accumulates():
     x = ad.Tensor([2.0], requires_grad=True)
     root = ad.sum_reduce(ad.add(ad.multiply(x, x), x))  # x^2 + x

@@ -118,9 +118,21 @@ def test_bad_config_value_fails_before_out_exists(command, config, workspace, tm
 @pytest.mark.parametrize("argv", [["synth", "--frames", "1"],
                                   ["train", "--epochs", "0"],
                                   ["train", "--lr", "inf"],
-                                  ["attack", "--epsilon", "nan"]])
+                                  ["attack", "--epsilon", "nan"],
+                                  ["attack", "--epsilon", "inf"]])
 def test_bad_flag_value_fails_before_out_exists(argv, workspace, tmp_path, capsys):
     assert refused_before_out(argv + input_flags(argv[0], workspace), tmp_path / "out", capsys)
+
+
+@pytest.mark.parametrize("command,text", [("eval", '{"kappa_table": {"punching": 1e999}}'),
+                                          ("attack", '{"attack": {"alpha": 1e999}}')])
+def test_config_number_that_overflows_fails_before_out_exists(command, text, workspace,
+                                                              tmp_path, capsys):
+    # the text parses to infinity, which would be written as Infinity
+    path = tmp_path / "big.json"
+    path.write_text(text, encoding="utf-8")
+    assert refused_before_out([command, "--config", str(path)] + input_flags(command, workspace),
+                              tmp_path / "out", capsys)
 
 
 @pytest.mark.parametrize("command,config", [("attack", {"attack": {"objective": "waving"}}),

@@ -1,9 +1,13 @@
 """Parsing, serialization, pairing and the synthetic generator."""
 
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from skelattack import data
 
@@ -235,6 +239,52 @@ def test_write_json_failure_leaves_existing_file_and_no_temp(tmp_path):
         data.write_json(path, {"a": [1.0, object()]})
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), np.array([[1.0], [-np.inf]])])
+def test_write_json_refuses_non_finite_and_keeps_existing_file(tmp_path, value):
+    path = tmp_path / "out.json"
+    data.write_json(path, {"a": 1})
+    with pytest.raises(ValueError):
+        data.write_json(path, {"a": [2.0, value]})
+    assert path.read_bytes() == b'{"a":1}\n'
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+FLOATS = (st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-5, 0.1, 1.7976931348623157e308])
+          | st.floats(allow_nan=False, allow_infinity=False))
+ARRAYS = (hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0,
+                                                  max_side=4), elements=FLOATS)
+          | hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0,
+                                                  max_side=4)))
+PAYLOADS = st.recursive(
+    st.none() | st.booleans() | st.integers() | FLOATS | st.text(max_size=4) | ARRAYS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8)
+
+
+def listed(value):
+    """`value` with every ndarray in it replaced by its nested list."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: listed(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [listed(item) for item in value]
+    return value
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(payload=st.dictionaries(st.text(max_size=4), PAYLOADS, max_size=4))
+def test_write_json_bytes_equal_streamed_lists(tmp_path_factory, payload):
+    # the reference is the streaming writer that write_json replaced
+    streamed = io.StringIO()
+    json.dump(listed(payload), streamed, sort_keys=True, separators=(",", ":"))
+    streamed.write("\n")
+    path = tmp_path_factory.mktemp("json") / "out.json"
+    data.write_json(path, payload)
+    assert path.read_bytes() == streamed.getvalue().encode("utf-8")
 
 
 def test_atomic_write_failing_part_way_leaves_existing_file_and_no_temp(tmp_path):

@@ -109,6 +109,14 @@ def test_fit_target_length():
     assert np.array_equal(longer.joints[5], seq.joints[3])
 
 
+def test_derive_kappa_refuses_no_inputs(bench):
+    records, _, inputs, model = bench
+    objective = evaluation.make_objectives(records, ["punching"],
+                                           evaluation.DEFAULT_TOLERANCES, seed=1)[0]
+    with pytest.raises(evaluation.EvaluationError, match="no test inputs"):
+        evaluation.derive_kappa(model, [], objective)
+
+
 def test_derive_kappa_is_percentile(bench):
     records, held, inputs, model = bench
     objective = evaluation.make_objectives(records, ["punching"],
