@@ -57,7 +57,7 @@ class AttackConfig:
     alpha: float = DEFAULT_ALPHA
     steps: int = DEFAULT_STEPS
     lam: float = DEFAULT_LAMBDA
-    mask: str | np.ndarray = "depth"
+    mask: str = "depth"
     update_rule: str = "pgd"
     adam_lr: float = DEFAULT_ADAM_LR
 
@@ -73,8 +73,8 @@ class AttackConfig:
             raise AttackError(f"temporal weight lambda must be in [0, 1], got {self.lam}")
         if self.kappa is not None and not self.kappa >= 0:
             raise AttackError("kappa must be >= 0")
-        if isinstance(self.mask, str) and self.mask not in ("depth", "all"):
-            raise AttackError(f"mask must be 'depth', 'all' or an array, got {self.mask!r}")
+        if not (isinstance(self.mask, str) and self.mask in ("depth", "all")):
+            raise AttackError(f"mask must be 'depth' or 'all', got {self.mask!r}")
         if self.update_rule not in ("pgd", "adam"):
             raise AttackError(f"update_rule must be 'pgd' or 'adam', got {self.update_rule!r}")
         if not self.adam_lr > 0:
@@ -150,7 +150,7 @@ def adv_loss(model, x: ad.Tensor, target: np.ndarray, cfg: AttackConfig
              ) -> tuple[ad.Tensor, ad.Tensor]:
     """Combined objective as a differentiable node; also returns the output."""
     eta = _eta(cfg.kappa, target.shape[0])
-    output, _ = model.forward(x)
+    output = model.forward(x)
     loss = spatial_loss(output, target, eta)
     if cfg.lam > 0.0:
         loss = ad.add(loss, ad.scalar_multiply(temporal_loss(x), cfg.lam))
@@ -170,20 +170,15 @@ def _eta(kappa: float | None, frames: int) -> float:
 # projected update
 
 
-def coordinate_mask(kind, dim: int) -> np.ndarray:
+def coordinate_mask(kind: str, dim: int) -> np.ndarray:
     """Boolean (3N,) mask of perturbable coordinates; depth is every third."""
-    if isinstance(kind, str):
-        if kind == "all":
-            return np.ones(dim, dtype=bool)
-        if kind == "depth":
-            mask = np.zeros(dim, dtype=bool)
-            mask[2::3] = True
-            return mask
-        raise AttackError(f"unknown mask {kind!r}")
-    mask = np.asarray(kind, dtype=bool)
-    if mask.shape != (dim,):
-        raise AttackError(f"mask shape {mask.shape} does not match dimension {dim}")
-    return mask
+    if kind == "all":
+        return np.ones(dim, dtype=bool)
+    if kind == "depth":
+        mask = np.zeros(dim, dtype=bool)
+        mask[2::3] = True
+        return mask
+    raise AttackError(f"unknown mask {kind!r}")
 
 
 def domain_bounds(dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -305,12 +300,8 @@ def run_attack(model, x, cfg: AttackConfig, on_step=None) -> AttackResult:
 
 
 def result_to_dict(result: AttackResult) -> dict:
-    cfg = result.config
-    settings = {key: getattr(cfg, name) for key, name in SETTINGS.items()}
-    if not isinstance(cfg.mask, str):
-        settings["mask"] = "custom"
     return {
-        "config": settings,
+        "config": {key: getattr(result.config, name) for key, name in SETTINGS.items()},
         "loss_trace": result.loss_trace,
         "distance_trace": result.distance_trace,
         "distance_sum": result.distance_sum,

@@ -1,10 +1,11 @@
 """Command-line front end: dataset synthesis, training, attacks, reports.
 
-Every command writes its artifacts plus a manifest.json (command, config
-snapshot, seed, paths, version, timestamps) into the output directory,
-and holds a lock on it while writing so two processes cannot race on one
-directory.  Given the same config and seed, reruns produce byte-identical
-datasets, checkpoints and reports.
+Every command loads, checks and computes everything first, then creates
+the output directory only to write its finished artifacts plus a
+manifest.json (command, config snapshot, seed, paths, version,
+timestamps), locked while it writes.  So a command that fails leaves no
+output directory.  Given the same config and seed, reruns produce
+byte-identical datasets, checkpoints and reports.
 
 Config precedence: command-line flags > config file > built-in defaults.
 The attack and train defaults are those of AttackConfig and TrainConfig,
@@ -24,8 +25,6 @@ import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .attack import (EPSILON_GRID, SETTINGS, AttackConfig, AttackError, result_to_dict,
@@ -190,10 +189,12 @@ _INPUTS = {"dataset": "dataset", "sweep": "sweep", "result": "result", "model_pa
 def _artifacts(args, config: dict, seed: int):
     """Lock --out for the block; yield it and a list for the names of the outputs.
 
-    The lock is an exclusive flock on out/.lock.  The kernel releases a
-    flock when its holder dies, so a killed run leaves at most an unlocked
-    .lock file, which the next run takes over.  A block that ends without
-    error then writes manifest.json, naming the input files and the outputs.
+    A command enters the block only to write results it has finished
+    computing, so --out is created, and locked, for the writes alone.  The
+    lock is an exclusive flock on out/.lock.  The kernel releases a flock
+    when its holder dies, so a killed run leaves at most an unlocked .lock
+    file, which the next run takes over.  A block that ends without error
+    then writes manifest.json, naming the input files and the outputs.
     """
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -247,16 +248,6 @@ def _load_test_inputs(dataset_path, held_out) -> tuple[list, list[SkeletonSequen
     return records, [seq for record in held for seq in (record.actor, record.reactor)]
 
 
-def _load_model_for(path, inputs: list[np.ndarray]):
-    """The checkpoint at `path`, refused unless its input width is every input's."""
-    model = load_model(path)
-    for x in inputs:
-        if x.shape[-1] != model.in_dim:
-            raise CliError(f"model {path} takes {model.in_dim} input coordinates per "
-                           f"frame, its inputs have {x.shape[-1]}")
-    return model
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -278,8 +269,8 @@ def cmd_train(args, config: dict) -> int:
     split = split_by_sets(records, config["data"]["held_out"])
     in_dim = split.train[0][0].flat().shape[1]
     model = create_model(tcfg["model"], in_dim, preset=tcfg["preset"], seed=tcfg["seed"])
+    model, history = train(model, split, _train_settings(tcfg))
     with _artifacts(args, config, tcfg["seed"]) as (out, outputs):
-        model, history = train(model, split, _train_settings(tcfg))
         save_model(model, out / "model.json")
         write_csv([{"epoch": i, "loss": loss} for i, loss in enumerate(history)],
                   out / "loss_history.csv")
@@ -292,23 +283,23 @@ def cmd_train(args, config: dict) -> int:
 def cmd_attack(args, config: dict) -> int:
     acfg = config["attack"]
     records, inputs = _load_test_inputs(args.dataset, config["data"]["held_out"])
-    model = _load_model_for(args.model_path, [seq.flat() for seq in inputs])
+    model = load_model(args.model_path)
     objective = make_objectives(records, [acfg["objective"]], config["kappa_table"],
                                 seed=acfg["seed"],
                                 prefer_ids=config["data"]["held_out"])[0]
     kappa = acfg["kappa"] if acfg["kappa"] is not None else objective.kappa
     base = _attack_settings(acfg)
+    payloads = []
+    for i, seq in enumerate(inputs):
+        target = fit_target_length(objective.target, seq.num_frames)
+        cfg = dataclasses.replace(base, target=target, kappa=kappa)
+        payload = result_to_dict(run_attack(model, seq, cfg))
+        payload.update(objective=objective.label, sample_index=i, natural=seq.flat(),
+                       target=target.flat())
+        payloads.append(payload)
     with _artifacts(args, config, acfg["seed"]) as (out, outputs):
         (out / "results").mkdir(exist_ok=True)
-        for i, seq in enumerate(inputs):
-            target = fit_target_length(objective.target, seq.num_frames)
-            cfg = dataclasses.replace(base, target=target, kappa=kappa)
-            result = run_attack(model, seq, cfg)
-            payload = result_to_dict(result)
-            payload["objective"] = objective.label
-            payload["sample_index"] = i
-            payload["natural"] = seq.flat()
-            payload["target"] = target.flat()
+        for i, payload in enumerate(payloads):
             name = f"results/result_{i:03d}.json"
             write_json(out / name, payload)
             outputs.append(name)
@@ -320,16 +311,16 @@ def cmd_attack(args, config: dict) -> int:
 def cmd_eval(args, config: dict) -> int:
     ecfg = config["eval"]
     records, inputs = _load_test_inputs(args.dataset, config["data"]["held_out"])
-    model = _load_model_for(args.model_path, [seq.flat() for seq in inputs])
+    model = load_model(args.model_path)
     labels = ecfg["objectives"] if ecfg["objectives"] is not None else list(CATEGORIES)
     objectives = make_objectives(records, labels, config["kappa_table"],
                                  seed=ecfg["seed"],
                                  prefer_ids=config["data"]["held_out"])
     base = _attack_settings(config["attack"])
     model_id = f"{model.arch}:{Path(args.model_path).name}"
+    report = whitebox_sweep(model, model_id, inputs, objectives,
+                            epsilon_grid=ecfg["epsilon_grid"], base_cfg=base)
     with _artifacts(args, config, ecfg["seed"]) as (out, outputs):
-        report = whitebox_sweep(model, model_id, inputs, objectives,
-                                epsilon_grid=ecfg["epsilon_grid"], base_cfg=base)
         write_csv(report_rows(report), out / "report.csv")
         save_sweep(report, out / "sweep.json")
         summary = {
@@ -347,8 +338,7 @@ def cmd_eval(args, config: dict) -> int:
 
 def cmd_transfer(args, config: dict) -> int:
     sweep = load_sweep(args.sweep)
-    receiver = _load_model_for(args.model_path,
-                               [adv for cell in sweep.cells for adv in cell.adversarial])
+    receiver = load_model(args.model_path)
     receiver_id = f"{receiver.arch}:{Path(args.model_path).name}"
     entry = blackbox_transfer(sweep, receiver, receiver_id)
     with _artifacts(args, config, 0) as (out, outputs):
@@ -365,7 +355,7 @@ def cmd_export(args, config: dict) -> int:
         args.result, CliError(f"not an attack result file {args.result}"),
         lambda payload: {key: SkeletonSequence.from_flat(array_from_json(payload[key]))
                          for key in ("natural", "adversarial", "target")})
-    model = _load_model_for(args.model_path, [seq.flat() for seq in result.values()])
+    model = load_model(args.model_path)
     sequences = {"natural_input": result["natural"], "adversarial_input": result["adversarial"],
                  "target": result["target"], "natural_output": model.predict(result["natural"]),
                  "adversarial_output": model.predict(result["adversarial"])}

@@ -52,8 +52,9 @@ class TcnConfig:
     dilations: list[int] | None = None  # default: doubling per layer
 
     def __post_init__(self):
-        if self.hidden_layers < 1:
-            raise ModelError("hidden_layers must be >= 1")
+        for name in ("in_dim", "hidden_layers", "channels", "kernel_width"):
+            if getattr(self, name) < 1:
+                raise ModelError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.dilations is None:
             self.dilations = [2 ** i for i in range(self.hidden_layers)]
         if len(self.dilations) != self.hidden_layers:
@@ -69,6 +70,8 @@ class GruConfig:
         default_factory=lambda: [(2, 512), (2, 256), (1, 128)])
 
     def __post_init__(self):
+        if self.in_dim < 1:
+            raise ModelError(f"in_dim must be >= 1, got {self.in_dim}")
         self.stack = [tuple(int(v) for v in entry) for entry in self.stack]
         if not self.stack:
             raise ModelError("recurrent stack must be non-empty")
@@ -132,19 +135,17 @@ class SequenceRegressor:
         return {k: ad.Tensor(v, requires_grad=trainable, op="param")
                 for k, v in self.params.items()}
 
-    def forward(self, x: ad.Tensor, trainable: bool = False
-                ) -> tuple[ad.Tensor, dict[str, ad.Tensor]]:
+    def forward(self, x: ad.Tensor) -> ad.Tensor:
         if x.value.ndim not in (2, 3) or x.value.shape[-1] != self.in_dim:
             raise ModelError(
                 f"input must be (T, {self.in_dim}) or (B, T, {self.in_dim}), "
                 f"got {x.value.shape}")
-        pt = self.param_tensors(trainable)
-        return self.build_graph(x, pt), pt
+        return self.build_graph(x, self.param_tensors(trainable=False))
 
     def predict_flat(self, x: np.ndarray) -> np.ndarray:
         # an overflowing forward ends in ModelError, not in numpy warnings
         with np.errstate(all="ignore"):
-            out, _ = self.forward(ad.Tensor(x))
+            out = self.forward(ad.Tensor(x))
         if not np.isfinite(out.value).all():
             raise ModelError("the model's output is not finite")
         return out.value

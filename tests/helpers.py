@@ -76,6 +76,17 @@ def corrupt_checkpoint(path, name, shape=None):
     path.write_text(json.dumps(payload), encoding="utf-8")
 
 
+def zero_kernel_width(path):
+    """Edit a tcn checkpoint file to kernel_width 0, with empty convolution weights to match."""
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["config"]["kernel_width"] = 0
+    for name, entry in payload["params"].items():
+        if name.startswith("conv") and name.endswith("_w"):
+            entry["shape"][0] = 0
+            entry["data"] = []
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+
 def mse(pred, target):
     """Mean squared error over every coordinate of every frame."""
     diff = pred - target

@@ -224,6 +224,8 @@ def test_config_validation():
         attack.AttackConfig(target=np.zeros((2, 3)), kappa=-1.0)
     with pytest.raises(attack.AttackError, match="mask"):
         attack.AttackConfig(mask="joints", **kwargs)
+    with pytest.raises(attack.AttackError, match="mask"):
+        attack.AttackConfig(mask=np.ones(3, dtype=bool), **kwargs)
     with pytest.raises(attack.AttackError, match="update_rule"):
         attack.AttackConfig(update_rule="sgd", **kwargs)
     with pytest.raises(attack.AttackError, match="adam_lr"):

@@ -13,7 +13,7 @@ import pytest
 from skelattack import cli, models
 from skelattack.attack import EPSILON_GRID
 
-from tests.helpers import corrupt_checkpoint
+from tests.helpers import corrupt_checkpoint, zero_kernel_width
 
 
 def run(argv):
@@ -620,7 +620,7 @@ def test_model_of_another_input_width_fails_before_out_exists(command, workspace
                               tmp_path / "out", capsys)
 
 
-@pytest.mark.parametrize("command", ["transfer", "export"])
+@pytest.mark.parametrize("command", ["attack", "eval", "transfer", "export"])
 def test_model_with_overflowing_output_fails_before_out_exists(command, workspace, tmp_path,
                                                                capsys):
     root, _ = workspace
@@ -633,3 +633,71 @@ def test_model_with_overflowing_output_fails_before_out_exists(command, workspac
         warnings.simplefilter("always")
         assert refused_before_out(argv, tmp_path / "out", capsys)
     assert [str(w.message) for w in caught] == []
+
+
+# compute, then write ------------------------------------------------------------
+
+# the step of each command that computes its results, by where the command finds it
+COMPUTE_STEPS = {"synth": (cli, "synth_generate"), "train": (cli, "train"),
+                 "attack": (cli, "run_attack"), "eval": (cli, "whitebox_sweep"),
+                 "transfer": (cli, "blackbox_transfer"),
+                 "export": (models.SequenceRegressor, "predict")}
+
+
+@pytest.mark.parametrize("command", list(COMPUTE_STEPS))
+def test_failing_compute_leaves_no_out(command, workspace, tmp_path, capsys, monkeypatch):
+    root, cfg_path = workspace
+    argv = ([command] + input_flags(command, workspace) if command in ("synth", "train")
+            else argv_with_model(command, root / "tcn" / "model.json", workspace, tmp_path))
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("the compute step failed")
+    monkeypatch.setattr(*COMPUTE_STEPS[command], fail)
+    assert refused_before_out(argv + ["--config", str(cfg_path)], tmp_path / "out", capsys)
+
+
+@pytest.mark.parametrize("command", ["attack", "eval"])
+def test_checkpoint_with_zero_kernel_width_fails_before_out_exists(command, workspace,
+                                                                   tmp_path, capsys):
+    root, cfg_path = workspace
+    path = tmp_path / "model.json"
+    path.write_bytes((root / "tcn" / "model.json").read_bytes())
+    zero_kernel_width(path)
+    argv = argv_with_model(command, path, workspace, tmp_path) + ["--config", str(cfg_path)]
+    assert refused_before_out(argv, tmp_path / "out", capsys)
+
+
+def edited_dataset(workspace, tmp_path, edit_record):
+    """The workspace dataset with `edit_record(index, record)` applied to each record."""
+    payload = valid_payload("dataset", workspace)
+    for i, record in enumerate(payload["records"]):
+        edit_record(i, record)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["attack", "eval"])
+def test_one_frame_sequences_with_temporal_term_fail_before_out_exists(command, workspace,
+                                                                       tmp_path, capsys):
+    # the temporal term (default lambda 0.1) needs two frames
+    def first_frame(i, record):
+        record["actor"], record["reactor"] = record["actor"][:1], record["reactor"][:1]
+    root, cfg_path = workspace
+    argv = [command, "--config", str(cfg_path),
+            "--dataset", edited_dataset(workspace, tmp_path, first_frame),
+            "--model-path", str(root / "tcn" / "model.json")]
+    assert refused_before_out(argv, tmp_path / "out", capsys)
+
+
+def test_dataset_of_mixed_skeleton_sizes_fails_train_before_out_exists(workspace, tmp_path,
+                                                                       capsys):
+    # record 0 is a training record: the model is built for its two joints
+    def two_joints_first(i, record):
+        if i == 0:
+            for role in ("actor", "reactor"):
+                record[role] = [frame[:6] for frame in record[role]]
+    _, cfg_path = workspace
+    argv = ["train", "--config", str(cfg_path),
+            "--dataset", edited_dataset(workspace, tmp_path, two_joints_first)]
+    assert refused_before_out(argv, tmp_path / "out", capsys)

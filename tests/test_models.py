@@ -10,7 +10,7 @@ from skelattack import autodiff as ad
 from skelattack import data, models
 
 from tests.helpers import (corrupt_checkpoint, fd_gradients, gru_graph_oracle, max_rel_err,
-                           mse, train_per_pair_oracle)
+                           mse, train_per_pair_oracle, zero_kernel_width)
 
 
 @pytest.fixture(scope="module")
@@ -307,6 +307,11 @@ def test_config_validation():
         models.TcnConfig(in_dim=6, hidden_layers=2, dilations=[1, 0])
     with pytest.raises(models.ModelError):
         models.GruConfig(in_dim=6, stack=[])
+    for name in ("in_dim", "channels", "kernel_width"):
+        with pytest.raises(models.ModelError, match=name):
+            models.TcnConfig(**{"in_dim": 6, name: 0})
+    with pytest.raises(models.ModelError, match="in_dim"):
+        models.GruConfig(in_dim=0)
     for arch in ("tcn", "gru"):
         with pytest.raises(models.ModelError, match="preset"):
             models.create_model(arch, 6, preset="huge")
@@ -314,6 +319,15 @@ def test_config_validation():
         models.TrainConfig(lr=float("nan"))
     cfg = models.GruConfig(in_dim=6, stack=[(2, 8), (1, 4)])
     assert cfg.layer_sizes() == [8, 8, 4]
+
+
+def test_checkpoint_with_zero_kernel_width_refused_at_load(tmp_path):
+    # the file is consistent (empty convolution weights), so only the config check refuses it
+    path = tmp_path / "model.json"
+    models.save_model(small_model("tcn", 6), path)
+    zero_kernel_width(path)
+    with pytest.raises(models.CheckpointError, match="kernel_width"):
+        models.load_model(path)
 
 
 def test_predict_refuses_non_finite_output_without_warning(one_pair):
