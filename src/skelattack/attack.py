@@ -21,6 +21,7 @@ against one (immutable) model is safe.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,7 @@ DEFAULT_ALPHA = 0.03
 DEFAULT_STEPS = 400
 DEFAULT_LAMBDA = 0.1
 DEFAULT_ADAM_LR = 1e-3
+_CYCLE_WINDOW = 16  # the latest iterates a sign-rule update is checked against
 
 
 class AttackError(ValueError):
@@ -245,7 +247,12 @@ def run_attack(model, x, cfg: AttackConfig, on_step=None) -> AttackResult:
     output-to-target distance, and the best-scoring iterate is returned,
     so an input whose natural output already meets the tolerance counts
     as an immediate success.  `on_step(m, x_adv)` is invoked after every
-    update for callers that want to watch the iterates.
+    update for callers that want to watch the iterates.  cfg.steps is
+    nominal: the sign rule keeps no state, so with a deterministic forward
+    an update that gives back one of the last _CYCLE_WINDOW iterates bit
+    for bit starts a cycle, and the attack stops evaluating; it fills both
+    traces out to cfg.steps + 1 entries and replays `on_step` from the
+    cycle.  The adam rule carries moments and runs every step.
     """
     x_nat = _as_flat(x)
     if cfg.target is None:
@@ -263,6 +270,7 @@ def run_attack(model, x, cfg: AttackConfig, on_step=None) -> AttackResult:
     best_x = x_adv
     best_dist = math.inf
     best_step = 0
+    window = deque([x_adv.tobytes()], _CYCLE_WINDOW if cfg.update_rule == "pgd" else 0)
     # a diverging attack ends in AttackDivergedError, not in numpy warnings
     with np.errstate(all="ignore"):
         for m in range(cfg.steps + 1):
@@ -285,6 +293,18 @@ def run_attack(model, x, cfg: AttackConfig, on_step=None) -> AttackResult:
             x_adv, adam_state = pgd_step(x_nat, x_adv, grad, cfg, adam_state, _box=box)
             if on_step is not None:
                 on_step(m, x_adv.copy())
+            key = x_adv.tobytes()
+            if key in window:
+                # x_{m+1} is x_j: each later x_k is cycle[(k - j) % period], none below the best
+                cycle = list(window)[window.index(key):]
+                for k in range(m + 1, cfg.steps + 1):
+                    loss_trace.append(loss_trace[k - len(cycle)])
+                    dist_trace.append(dist_trace[k - len(cycle)])
+                    if on_step is not None and k < cfg.steps:
+                        on_step(k, np.frombuffer(cycle[(k - m) % len(cycle)])
+                                .reshape(x_nat.shape).copy())
+                break
+            window.append(key)
 
     success = best_dist < cfg.kappa
     return AttackResult(

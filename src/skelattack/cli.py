@@ -194,7 +194,8 @@ def _artifacts(args, config: dict, seed: int):
     lock is an exclusive flock on out/.lock.  The kernel releases a flock
     when its holder dies, so a killed run leaves at most an unlocked .lock
     file, which the next run takes over.  A block that ends without error
-    then writes manifest.json, naming the input files and the outputs.
+    then removes the files the manifest it replaces listed and this run did
+    not write, then writes manifest.json, naming the input files and the outputs.
     """
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -217,6 +218,16 @@ def _artifacts(args, config: dict, seed: int):
     try:
         outputs: list[str] = []
         yield out, outputs
+        try:  # the outputs the manifest here lists; one that cannot be read lists none
+            listed = json.loads((out / "manifest.json").read_bytes())["outputs"]
+            stale = [out / name for name in set(listed) - set(outputs)
+                     if isinstance(listed, list) and not os.path.isabs(name)]
+        except (OSError, ValueError, KeyError, TypeError, RecursionError):
+            stale = []
+        for path in stale:  # a name outside --out, or the lock's, names no output
+            if (path.is_file() and path.resolve().is_relative_to(out.resolve())
+                    and not path.samefile(lock)):
+                path.unlink()
         manifest = {
             "command": args.command,
             "tool_version": __version__,

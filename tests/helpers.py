@@ -9,15 +9,19 @@ truth for it.  The primitive-op GRU graph is the per-frame graph the
 fused `gru_layer` op replaced; it checks the fused op's values and
 adjoints against ops that are each gradient-checked on their own.  The
 per-pair training loop is the one batched training replaced: one graph
-per pair per epoch.
+per pair per epoch.  The every-step attack loop is the one that stops at a
+repeated sign-rule iterate replaced.
 """
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 
+from skelattack import attack
 from skelattack import autodiff as ad
+from skelattack.data import SkeletonSequence
 from skelattack.optim import adam_update
 
 
@@ -225,3 +229,99 @@ def train_per_pair_oracle(model, pairs, cfg):
         grads = {k: t.grad / len(flat_pairs) for k, t in pt.items()}
         model.params, state = adam_update(model.params, grads, state, lr=cfg.lr)
     return history
+
+
+def run_attack_every_step(model, x, cfg, on_step=None):
+    """attack.run_attack as it was before it stopped at repeated iterates.
+
+    Evaluates all cfg.steps + 1 iterates, whatever the update rule.
+    """
+    x_nat = attack._as_flat(x)
+    if cfg.target is None:
+        raise attack.AttackError("attack config needs a target sequence")
+    target = attack._as_flat(cfg.target)
+    if target.shape != x_nat.shape:
+        raise attack.AttackError(
+            f"target shape {target.shape} does not match input {x_nat.shape}")
+
+    x_adv = x_nat.copy()
+    box = attack._projection_box(cfg, x_nat.shape[1])
+    adam_state = None
+    loss_trace = []
+    dist_trace = []
+    best_x = x_adv
+    best_dist = math.inf
+    best_step = 0
+    # a diverging attack ends in AttackDivergedError, not in numpy warnings
+    with np.errstate(all="ignore"):
+        for m in range(cfg.steps + 1):
+            xt = ad.Tensor(x_adv, requires_grad=True, op="input")
+            loss, output = attack.adv_loss(model, xt, target, cfg)
+            loss_value = float(loss.value)
+            if not math.isfinite(loss_value):
+                raise attack.AttackDivergedError(m)
+            dist = attack.distance_sum(output.value, target)
+            loss_trace.append(loss_value)
+            dist_trace.append(dist)
+            if dist < best_dist:
+                best_dist = dist
+                best_x = x_adv
+                best_step = m
+            if m == cfg.steps:
+                break
+            ad.backward(loss)
+            grad = xt.grad if xt.grad is not None else np.zeros_like(x_adv)
+            x_adv, adam_state = attack.pgd_step(x_nat, x_adv, grad, cfg, adam_state, _box=box)
+            if on_step is not None:
+                on_step(m, x_adv.copy())
+
+    success = best_dist < cfg.kappa
+    return attack.AttackResult(
+        adversarial=SkeletonSequence.from_flat(best_x),
+        loss_trace=loss_trace,
+        distance_trace=dist_trace,
+        distance_sum=best_dist,
+        success=success,
+        max_perturbation=float(np.max(np.abs(best_x - x_nat))),
+        best_step=best_step,
+        config=cfg,
+    )
+
+
+def assert_attack_matches_every_step(model, x, cfg):
+    """run_attack equals run_attack_every_step bit for bit, with and without on_step.
+
+    Compares every AttackResult field (floats by repr, so -0.0 counts) and
+    each on_step call's step, array type, shape, writability and bytes.
+    """
+    def run(attack_fn, watch):
+        stream = []
+
+        def on_step(step, x_adv):
+            stream.append((step, x_adv.dtype.str, x_adv.shape, x_adv.flags.writeable,
+                           x_adv.tobytes()))
+
+        result = attack_fn(model, x, cfg, on_step=on_step if watch else None)
+        fields = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
+        assert fields.pop("config") is cfg
+        fields["adversarial"] = fields["adversarial"].joints.tobytes()
+        return repr(fields), stream
+
+    want = run(run_attack_every_step, True)
+    assert run(attack.run_attack, True) == want
+    assert run(attack.run_attack, False) == (want[0], [])
+
+
+def first_repeat(model, x, cfg):
+    """(m, period) of the first iterate x_m that repeats an earlier one bit for bit, or None.
+
+    Read from every iterate of run_attack_every_step, with no window.
+    """
+    iterates = [attack._as_flat(x).tobytes()]
+    run_attack_every_step(model, x, cfg, on_step=lambda _, x_adv: iterates.append(x_adv.tobytes()))
+    first = {}
+    for m, key in enumerate(iterates):
+        if key in first:
+            return m, m - first[key]
+        first[key] = m
+    return None

@@ -10,7 +10,8 @@ import pytest
 from skelattack import autodiff as ad
 from skelattack import attack, data, models
 
-from tests.helpers import fd_gradients, max_rel_err, sampled_sphere_min
+from tests.helpers import (assert_attack_matches_every_step, fd_gradients, first_repeat,
+                           max_rel_err, sampled_sphere_min)
 
 
 def make_seq(arr):
@@ -332,6 +333,52 @@ def test_run_attack_adam_rule(fixture_sample):
     assert result.distance_sum <= result.distance_trace[0]
     adv = result.adversarial.flat()
     assert np.array_equal(adv[:, 0::3], flat[:, 0::3])
+
+
+# (arch, model seed, config overrides, (m, period) of the first repeat or None);
+# the repeats were read off every iterate and are asserted again below
+EVERY_STEP_CASES = {
+    "cycle": ("tcn", 0, dict(epsilon=0.3, lam=0.1), (18, 2)),
+    "fixed-point": ("tcn", 0, dict(epsilon=0.075, lam=0.0), (4, 1)),
+    "fixed-point-at-last-step": ("tcn", 0, dict(epsilon=0.075, lam=0.0, steps=4), (4, 1)),
+    "lambda-zero": ("gru", 0, dict(epsilon=0.45, lam=0.0, mask="all"), (21, 2)),
+    "mask-all": ("tcn", 1, dict(epsilon=0.45, lam=0.1, mask="all"), (46, 2)),
+    "no-repeat": ("gru", 2, dict(epsilon=0.45, lam=0.0), None),
+    "adam": ("tcn", 4, dict(epsilon=0.3, update_rule="adam", adam_lr=0.01), None),
+    "one-step": ("gru", 1, dict(epsilon=0.3, steps=1), None),
+}
+
+
+@pytest.mark.parametrize("case", list(EVERY_STEP_CASES))
+def test_run_attack_equals_every_step_oracle(case, fixture_sample):
+    x, target = fixture_sample
+    arch, seed, overrides, repeat = EVERY_STEP_CASES[case]
+    model = tiny_model(x.flat().shape[1], arch=arch, seed=seed)
+    cfg = attack.AttackConfig(target=target, kappa=1.0, **{"steps": 60, **overrides})
+    assert first_repeat(model, x, cfg) == repeat
+    assert_attack_matches_every_step(model, x, cfg)
+
+
+@pytest.mark.parametrize("rule", ["pgd", "adam"])
+def test_run_attack_evaluates_fewer_steps_once_a_sign_rule_iterate_repeats(
+        rule, fixture_sample, monkeypatch):
+    x, target = fixture_sample
+    model = tiny_model(x.flat().shape[1], seed=0)
+    cfg = attack.AttackConfig(target=target, kappa=1.0, epsilon=0.3, steps=60,
+                              update_rule=rule, adam_lr=0.01)
+    calls = []
+
+    def counted(*args, _adv_loss=attack.adv_loss):
+        calls.append(1)
+        return _adv_loss(*args)
+
+    monkeypatch.setattr(attack, "adv_loss", counted)
+    result = attack.run_attack(model, x, cfg)
+    assert len(result.loss_trace) == len(result.distance_trace) == 61
+    if rule == "pgd":  # x_18 repeats x_16 (the "cycle" case above)
+        assert len(calls) == 18
+    else:
+        assert len(calls) == 61
 
 
 def test_run_attack_diverges_on_nan_model(fixture_sample):

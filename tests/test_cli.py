@@ -399,6 +399,48 @@ def test_manifest_write_failing_part_way_leaves_previous_manifest(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
 
 
+def test_rerun_into_same_out_removes_results_it_did_not_write(workspace, tmp_path):
+    # a rerun on fewer held-out records used to leave the first run's extra
+    # result files beside its own, where export would read them
+    root, cfg_path = workspace
+    out = tmp_path / "att"
+    argv = ["attack", "--dataset", str(root / "data" / "dataset.json"),
+            "--model-path", str(root / "tcn" / "model.json"), "--out", str(out)]
+    wide = tmp_path / "wide.json"
+    held_out = {"held_out": ["s01s02", "s03s04"]}
+    wide.write_text(json.dumps({**CFG, "data": {**CFG["data"], **held_out}}), encoding="utf-8")
+    assert run(argv + ["--config", str(wide)]) == 0
+    assert len(list((out / "results").iterdir())) == 6
+    assert run(argv + ["--config", str(cfg_path)]) == 0
+    written = sorted(f"results/{p.name}" for p in (out / "results").iterdir())
+    assert written == read_json(out / "manifest.json")["outputs"]
+    assert written == ["results/result_000.json", "results/result_001.json"]
+
+
+def test_rerun_removes_only_listed_files_inside_out(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    args = argparse.Namespace(command="synth", out=str(out), started_at="t0")
+    for name in ("kept.json", "gone.json", "sub/gone.json"):
+        (out / name).parent.mkdir(exist_ok=True)
+        (out / name).write_text("{}", encoding="utf-8")
+    (tmp_path / "outside.json").write_text("{}", encoding="utf-8")
+    listed = ["kept.json", "gone.json", "sub/gone.json", "sub", "../outside.json",
+              str(tmp_path / "outside.json"), ".lock", "missing.json"]
+    (out / "manifest.json").write_text(json.dumps({"outputs": listed}), encoding="utf-8")
+    with cli._artifacts(args, {}, 0) as (_, outputs):
+        outputs.append("kept.json")
+    assert sorted(p.name for p in out.rglob("*")) == ["kept.json", "manifest.json", "sub"]
+    assert (tmp_path / "outside.json").exists()
+    # a manifest that cannot be read lists nothing, so nothing is removed
+    for manifest in ("{", '{"outputs": "kept.json"}', '{"outputs": [["kept.json"]]}',
+                     '{"outputs": ["kept.json", 1]}', "[]"):
+        (out / "manifest.json").write_text(manifest, encoding="utf-8")
+        with cli._artifacts(args, {}, 0):
+            pass
+        assert (out / "kept.json").exists()
+
+
 def test_lambda_zero_disables_temporal_term(workspace, tmp_path):
     # with the temporal term off, a constant-in-time perturbation pattern is
     # not penalized; just verify the flag plumbs through to the result echo

@@ -5,6 +5,10 @@ one drawn part of it, and checks that the library loader either returns
 or raises its own module's error type, and that the command reading the
 file prints one error: line, exits with code 2 and leaves no --out.
 Examples are derandomized, so every run tries the same files.
+
+One property covers the attack loop instead: over drawn models, budgets,
+temporal weights, masks and step counts, an attack that stops at a
+repeated sign-rule iterate gives the every-step result byte for byte.
 """
 
 import copy
@@ -17,9 +21,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from skelattack import cli, data, evaluation, models
+from skelattack import attack, cli, data, evaluation, models
 
-from tests.helpers import serialize_sbu
+from tests.helpers import assert_attack_matches_every_step, serialize_sbu
 
 # capsys is read before and after each example's command, so sharing it is safe
 FUZZ = settings(derandomize=True, max_examples=40, deadline=None,
@@ -197,3 +201,21 @@ def test_loader_refuses_a_file_it_cannot_decode(load, error, raw, tmp_path):
     path.write_bytes(raw)
     with pytest.raises(error):
         load(path)
+
+
+ATTACK_RECORDS = data.synth_generate(seed=33, n_per_category=1, frames=8, joints=3)
+
+
+# up to 80 steps, so that about half the drawn attacks meet a repeated iterate
+@FUZZ
+@given(seed=st.integers(0, 2 ** 16), arch=st.sampled_from(["tcn", "gru"]),
+       epsilon=st.sampled_from(attack.EPSILON_GRID) | st.floats(0.01, 0.6),
+       lam=st.sampled_from([0.0, 0.1]) | st.floats(0.0, 1.0),
+       mask=st.sampled_from(["depth", "all"]), steps=st.integers(1, 80))
+def test_run_attack_equals_every_step_attack(seed, arch, epsilon, lam, mask, steps):
+    width = ATTACK_RECORDS[0].actor.flat().shape[1]
+    model = (models.create_model("tcn", width, seed=seed, hidden_layers=2, channels=8)
+             if arch == "tcn" else models.create_model("gru", width, seed=seed, stack=[(1, 8)]))
+    cfg = attack.AttackConfig(target=ATTACK_RECORDS[seed % 8].reactor, kappa=1.0,
+                              epsilon=epsilon, lam=lam, mask=mask, steps=steps)
+    assert_attack_matches_every_step(model, ATTACK_RECORDS[seed % 7].actor, cfg)
