@@ -248,11 +248,10 @@ def run_attack(model, x, cfg: AttackConfig, on_step=None) -> AttackResult:
     so an input whose natural output already meets the tolerance counts
     as an immediate success.  `on_step(m, x_adv)` is invoked after every
     update for callers that want to watch the iterates.  cfg.steps is
-    nominal: the sign rule keeps no state, so with a deterministic forward
-    an update that gives back one of the last _CYCLE_WINDOW iterates bit
-    for bit starts a cycle, and the attack stops evaluating; it fills both
-    traces out to cfg.steps + 1 entries and replays `on_step` from the
-    cycle.  The adam rule carries moments and runs every step.
+    nominal: with a deterministic forward, once a sign-rule update repeats
+    one of the last _CYCLE_WINDOW iterates bit for bit, evaluation stops and
+    the traces (still cfg.steps + 1 long) and `on_step` are filled from the
+    cycle.  Adam carries moments, so it runs every step.
     """
     x_nat = _as_flat(x)
     if cfg.target is None:
@@ -293,9 +292,7 @@ def run_attack(model, x, cfg: AttackConfig, on_step=None) -> AttackResult:
             x_adv, adam_state = pgd_step(x_nat, x_adv, grad, cfg, adam_state, _box=box)
             if on_step is not None:
                 on_step(m, x_adv.copy())
-            key = x_adv.tobytes()
-            if key in window:
-                # x_{m+1} is x_j: each later x_k is cycle[(k - j) % period], none below the best
+            if (key := x_adv.tobytes()) in window:  # x_{m+1} = x_j starts a cycle
                 cycle = list(window)[window.index(key):]
                 for k in range(m + 1, cfg.steps + 1):
                     loss_trace.append(loss_trace[k - len(cycle)])

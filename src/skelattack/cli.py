@@ -23,7 +23,7 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 from . import __version__
@@ -194,8 +194,8 @@ def _artifacts(args, config: dict, seed: int):
     lock is an exclusive flock on out/.lock.  The kernel releases a flock
     when its holder dies, so a killed run leaves at most an unlocked .lock
     file, which the next run takes over.  A block that ends without error
-    then removes the files the manifest it replaces listed and this run did
-    not write, then writes manifest.json, naming the input files and the outputs.
+    writes manifest.json, naming the input files and the outputs; on a rerun
+    of the command it first removes each other file the old manifest listed.
     """
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -218,23 +218,25 @@ def _artifacts(args, config: dict, seed: int):
     try:
         outputs: list[str] = []
         yield out, outputs
-        try:  # the outputs the manifest here lists; one that cannot be read lists none
-            listed = json.loads((out / "manifest.json").read_bytes())["outputs"]
-            stale = [out / name for name in set(listed) - set(outputs)
-                     if isinstance(listed, list) and not os.path.isabs(name)]
-        except (OSError, ValueError, KeyError, TypeError, RecursionError):
-            stale = []
-        for path in stale:  # a name outside --out, or the lock's, names no output
-            if (path.is_file() and path.resolve().is_relative_to(out.resolve())
-                    and not path.samefile(lock)):
-                path.unlink()
+        inputs = {name: str(getattr(args, arg)) for arg, name in _INPUTS.items()
+                  if hasattr(args, arg)}
+        old = None
+        with suppress(OSError, ValueError, RecursionError):  # unreadable: it lists nothing
+            old = json.loads((out / "manifest.json").read_bytes())
+        if (isinstance(old, dict) and old.get("command") == args.command
+                and isinstance(old.get("outputs"), list)
+                and all(isinstance(name, str) for name in old["outputs"])):
+            kept = {path.resolve() for path in (lock, *map(Path, inputs.values()))}
+            for path in (out / name for name in set(old["outputs"]) - set(outputs)):
+                real = path.resolve()  # only files inside --out, never the lock or an input
+                if path.is_file() and real.is_relative_to(out.resolve()) and real not in kept:
+                    path.unlink()
         manifest = {
             "command": args.command,
             "tool_version": __version__,
             "seed": seed,
             "config": config,
-            "inputs": {name: str(getattr(args, arg)) for arg, name in _INPUTS.items()
-                       if hasattr(args, arg)},
+            "inputs": inputs,
             "outputs": sorted(outputs),
             "started_at": args.started_at,
             "finished_at": _now(),

@@ -420,25 +420,54 @@ def test_rerun_into_same_out_removes_results_it_did_not_write(workspace, tmp_pat
 def test_rerun_removes_only_listed_files_inside_out(tmp_path):
     out = tmp_path / "out"
     out.mkdir()
-    args = argparse.Namespace(command="synth", out=str(out), started_at="t0")
-    for name in ("kept.json", "gone.json", "sub/gone.json"):
+    args = argparse.Namespace(command="train", out=str(out), started_at="t0",
+                              dataset=str(out / "input.json"))
+    for name in ("kept.json", "gone.json", "sub/gone.json", "input.json"):
         (out / name).parent.mkdir(exist_ok=True)
         (out / name).write_text("{}", encoding="utf-8")
     (tmp_path / "outside.json").write_text("{}", encoding="utf-8")
     listed = ["kept.json", "gone.json", "sub/gone.json", "sub", "../outside.json",
-              str(tmp_path / "outside.json"), ".lock", "missing.json"]
-    (out / "manifest.json").write_text(json.dumps({"outputs": listed}), encoding="utf-8")
+              str(tmp_path / "outside.json"), ".lock", "missing.json", "input.json",
+              "sub/../input.json"]
+    manifest = {"command": "train", "outputs": listed}
+    (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
     with cli._artifacts(args, {}, 0) as (_, outputs):
         outputs.append("kept.json")
-    assert sorted(p.name for p in out.rglob("*")) == ["kept.json", "manifest.json", "sub"]
+    assert sorted(p.name for p in out.rglob("*")) == ["input.json", "kept.json",
+                                                      "manifest.json", "sub"]
     assert (tmp_path / "outside.json").exists()
-    # a manifest that cannot be read lists nothing, so nothing is removed
-    for manifest in ("{", '{"outputs": "kept.json"}', '{"outputs": [["kept.json"]]}',
-                     '{"outputs": ["kept.json", 1]}', "[]"):
+    # a manifest of another command, or one that cannot be read, removes nothing
+    for manifest in ("{", '{"outputs": ["kept.json"]}', "[]",
+                     '{"command": "synth", "outputs": ["kept.json"]}',
+                     '{"command": "train", "outputs": "kept.json"}',
+                     '{"command": "train", "outputs": [["kept.json"]]}',
+                     '{"command": "train", "outputs": ["kept.json", 1]}'):
         (out / "manifest.json").write_text(manifest, encoding="utf-8")
         with cli._artifacts(args, {}, 0):
             pass
         assert (out / "kept.json").exists()
+
+
+def test_commands_sharing_one_out_keep_each_others_files(workspace, tmp_path):
+    # one directory per experiment: each command reads what the one before it
+    # wrote there, and a command's rerun cleanup must not touch those files
+    root, cfg_path = workspace
+    out = tmp_path / "exp"
+    model = ["--model-path", str(out / "model.json")]
+    common = ["--config", str(cfg_path), "--out", str(out)]
+    steps = [["synth"], ["train", "--dataset", str(out / "dataset.json")],
+             ["eval", "--dataset", str(out / "dataset.json"), *model],
+             ["transfer", "--sweep", str(out / "sweep.json"), *model],
+             ["attack", "--dataset", str(out / "dataset.json"), *model],
+             ["export", "--result", str(out / "results" / "result_000.json"), *model]]
+    for argv in steps:
+        assert run(argv + common) == 0
+    names = sorted(p.relative_to(out).as_posix() for p in out.rglob("*.*"))
+    assert names == ["adversarial_input.csv", "adversarial_output.csv", "dataset.json",
+                     "loss_history.csv", "manifest.json", "model.json",
+                     "natural_input.csv", "natural_output.csv", "report.csv",
+                     "results/result_000.json", "results/result_001.json", "summary.json",
+                     "sweep.json", "target.csv", "transfer.csv"]
 
 
 def test_lambda_zero_disables_temporal_term(workspace, tmp_path):
