@@ -75,8 +75,9 @@ class AttackConfig:
             raise AttackError(f"temporal weight lambda must be in [0, 1], got {self.lam}")
         if self.kappa is not None and not self.kappa >= 0:
             raise AttackError("kappa must be >= 0")
-        if not (isinstance(self.mask, str) and self.mask in ("depth", "all")):
-            raise AttackError(f"mask must be 'depth' or 'all', got {self.mask!r}")
+        if not (isinstance(self.mask, str) and self.mask in _MOVABLE):
+            raise AttackError(f"mask must be {' or '.join(map(repr, _MOVABLE))}, "
+                              f"got {self.mask!r}")
         if self.update_rule not in ("pgd", "adam"):
             raise AttackError(f"update_rule must be 'pgd' or 'adam', got {self.update_rule!r}")
         if not self.adam_lr > 0:
@@ -172,38 +173,22 @@ def _eta(kappa: float | None, frames: int) -> float:
 # projected update
 
 
-def coordinate_mask(kind: str, dim: int) -> np.ndarray:
-    """Boolean (3N,) mask of perturbable coordinates; depth is every third."""
-    if kind == "all":
-        return np.ones(dim, dtype=bool)
-    if kind == "depth":
-        mask = np.zeros(dim, dtype=bool)
-        mask[2::3] = True
-        return mask
-    raise AttackError(f"unknown mask {kind!r}")
-
-
-def domain_bounds(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    lo = np.tile([X_RANGE[0], Y_RANGE[0], DEPTH_RANGE[0]], dim // 3)
-    hi = np.tile([X_RANGE[1], Y_RANGE[1], DEPTH_RANGE[1]], dim // 3)
-    return lo, hi
-
-
-def _projection_box(cfg: AttackConfig, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The domain bounds and the coordinate mask pgd_step projects onto."""
-    return (*domain_bounds(dim), coordinate_mask(cfg.mask, dim))
+# One joint's (x, y, depth): its coordinate domain, and the coordinates each mask moves.
+_LOWER = np.array([X_RANGE[0], Y_RANGE[0], DEPTH_RANGE[0]])
+_UPPER = np.array([X_RANGE[1], Y_RANGE[1], DEPTH_RANGE[1]])
+_MOVABLE = {"depth": np.array([False, False, True]), "all": np.array([True, True, True])}
 
 
 def pgd_step(x_nat: np.ndarray, x_adv: np.ndarray, grad: np.ndarray,
-             cfg: AttackConfig, adam_state: AdamState | None = None, *, _box=None
+             cfg: AttackConfig, adam_state: AdamState | None = None
              ) -> tuple[np.ndarray, AdamState | None]:
     """One projected update of the adversarial sequence.
 
     The sign rule takes a fixed step against the gradient; the adam rule
     substitutes an Adam step on the input.  Either way the perturbation
     is clipped into the epsilon box around the natural input, clamped to
-    the coordinate domain, and frozen coordinates are restored exactly.
-    run_attack passes the bounds and mask it built once as `_box`.
+    the coordinate domain, and frozen coordinates are restored exactly;
+    the domain bounds and the mask are per (x, y, depth) of each joint.
     """
     if not (x_nat.shape == x_adv.shape == grad.shape):
         raise AttackError(
@@ -215,8 +200,10 @@ def pgd_step(x_nat: np.ndarray, x_adv: np.ndarray, grad: np.ndarray,
     else:
         candidate = x_adv - cfg.alpha * np.sign(grad)
     delta = np.clip(candidate - x_nat, -cfg.epsilon, cfg.epsilon)
-    lo, hi, mask = _projection_box(cfg, x_nat.shape[1]) if _box is None else _box
-    projected = np.where(mask, np.clip(x_nat + delta, lo, hi), x_nat)
+    joints = x_nat.reshape(x_nat.shape[0], -1, 3)
+    projected = np.where(_MOVABLE[cfg.mask],
+                         np.clip(joints + delta.reshape(joints.shape), _LOWER, _UPPER),
+                         joints).reshape(x_nat.shape)
     # rounding in x_nat + delta can overshoot the box by an ulp; nudge those
     # coordinates back so |x' - x| <= epsilon holds exactly on recomputation
     over = np.abs(projected - x_nat) > cfg.epsilon
@@ -262,7 +249,6 @@ def run_attack(model, x, cfg: AttackConfig, on_step=None) -> AttackResult:
             f"target shape {target.shape} does not match input {x_nat.shape}")
 
     x_adv = x_nat.copy()
-    box = _projection_box(cfg, x_nat.shape[1])
     adam_state = None
     loss_trace: list[float] = []
     dist_trace: list[float] = []
@@ -289,7 +275,7 @@ def run_attack(model, x, cfg: AttackConfig, on_step=None) -> AttackResult:
                 break
             ad.backward(loss)
             grad = xt.grad if xt.grad is not None else np.zeros_like(x_adv)
-            x_adv, adam_state = pgd_step(x_nat, x_adv, grad, cfg, adam_state, _box=box)
+            x_adv, adam_state = pgd_step(x_nat, x_adv, grad, cfg, adam_state)
             if on_step is not None:
                 on_step(m, x_adv.copy())
             if (key := x_adv.tobytes()) in window:  # x_{m+1} = x_j starts a cycle

@@ -23,7 +23,7 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -107,11 +107,14 @@ def load_config(path=None, flags=None) -> dict:
         _train_settings(config["train"])
     except (AttackError, ModelError) as exc:
         raise CliError(f"bad config: {exc}") from None
-    for eps in config["eval"]["epsilon_grid"]:
+    grid = config["eval"]["epsilon_grid"]
+    for eps in grid:
         try:
             dataclasses.replace(base, epsilon=eps)
         except AttackError as exc:
             raise CliError(f"bad config eval.epsilon_grid: {exc}") from None
+    if len(set(grid)) < len(grid):
+        raise CliError(f"bad config eval.epsilon_grid: it repeats an epsilon: {grid}")
     return config
 
 
@@ -194,8 +197,7 @@ def _artifacts(args, config: dict, seed: int):
     lock is an exclusive flock on out/.lock.  The kernel releases a flock
     when its holder dies, so a killed run leaves at most an unlocked .lock
     file, which the next run takes over.  A block that ends without error
-    writes manifest.json, naming the input files and the outputs; on a rerun
-    of the command it first removes each other file the old manifest listed.
+    writes manifest.json, naming the input files and the outputs.
     """
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -220,17 +222,6 @@ def _artifacts(args, config: dict, seed: int):
         yield out, outputs
         inputs = {name: str(getattr(args, arg)) for arg, name in _INPUTS.items()
                   if hasattr(args, arg)}
-        old = None
-        with suppress(OSError, ValueError, RecursionError):  # unreadable: it lists nothing
-            old = json.loads((out / "manifest.json").read_bytes())
-        if (isinstance(old, dict) and old.get("command") == args.command
-                and isinstance(old.get("outputs"), list)
-                and all(isinstance(name, str) for name in old["outputs"])):
-            kept = {path.resolve() for path in (lock, *map(Path, inputs.values()))}
-            for path in (out / name for name in set(old["outputs"]) - set(outputs)):
-                real = path.resolve()  # only files inside --out, never the lock or an input
-                if path.is_file() and real.is_relative_to(out.resolve()) and real not in kept:
-                    path.unlink()
         manifest = {
             "command": args.command,
             "tool_version": __version__,
@@ -316,6 +307,9 @@ def cmd_attack(args, config: dict) -> int:
             name = f"results/result_{i:03d}.json"
             write_json(out / name, payload)
             outputs.append(name)
+        # the result files of an earlier attack into --out that this one did not write
+        for stale in set((out / "results").glob("result_*.json")) - {out / n for n in outputs}:
+            stale.unlink()
     print(f"attacked {len(inputs)} samples toward {objective.label!r} "
           f"(epsilon={acfg['epsilon']}, kappa={kappa:.4g})")
     return 0

@@ -328,20 +328,16 @@ def save_model(model: SequenceRegressor, path) -> None:
     write_json(path, payload)
 
 
-def load_model(path, expected_arch: str | None = None) -> SequenceRegressor:
-    return read_json(path, CheckpointError(f"corrupted checkpoint {path}"),
-                     lambda payload: _model_from_json(payload, expected_arch))
+def load_model(path) -> SequenceRegressor:
+    return read_json(path, CheckpointError(f"corrupted checkpoint {path}"), _model_from_json)
 
 
-def _model_from_json(payload: dict, expected_arch: str | None) -> SequenceRegressor:
+def _model_from_json(payload: dict) -> SequenceRegressor:
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError("not a model checkpoint")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {payload.get('version')}")
     arch = payload.get("arch")
-    if expected_arch is not None and arch != expected_arch:
-        raise CheckpointError(
-            f"checkpoint holds a {arch!r} model, expected {expected_arch!r}")
     classes = {"tcn": (TcnRegressor, TcnConfig), "gru": (GruRegressor, GruConfig)}
     if arch not in classes:
         raise CheckpointError(f"unknown architecture {arch!r}")

@@ -10,7 +10,9 @@ fused `gru_layer` op replaced; it checks the fused op's values and
 adjoints against ops that are each gradient-checked on their own.  The
 per-pair training loop is the one batched training replaced: one graph
 per pair per epoch.  The every-step attack loop is the one that stops at a
-repeated sign-rule iterate replaced.
+repeated sign-rule iterate replaced.  The tiled projection is the one that
+clipping against per-joint (x, y, depth) bounds replaced: it builds the
+bounds and the mask as (3N,) rows.
 """
 
 import dataclasses
@@ -21,7 +23,7 @@ import numpy as np
 
 from skelattack import attack
 from skelattack import autodiff as ad
-from skelattack.data import SkeletonSequence
+from skelattack.data import DEPTH_RANGE, SkeletonSequence, X_RANGE, Y_RANGE
 from skelattack.optim import adam_update
 
 
@@ -231,6 +233,47 @@ def train_per_pair_oracle(model, pairs, cfg):
     return history
 
 
+def coordinate_mask(kind: str, dim: int) -> np.ndarray:
+    """Boolean (3N,) mask of perturbable coordinates; depth is every third."""
+    if kind == "all":
+        return np.ones(dim, dtype=bool)
+    if kind == "depth":
+        mask = np.zeros(dim, dtype=bool)
+        mask[2::3] = True
+        return mask
+    raise attack.AttackError(f"unknown mask {kind!r}")
+
+
+def domain_bounds(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    lo = np.tile([X_RANGE[0], Y_RANGE[0], DEPTH_RANGE[0]], dim // 3)
+    hi = np.tile([X_RANGE[1], Y_RANGE[1], DEPTH_RANGE[1]], dim // 3)
+    return lo, hi
+
+
+def pgd_step_tiled(x_nat, x_adv, grad, cfg, adam_state=None):
+    """attack.pgd_step as it was with (3N,) bounds and mask rows."""
+    if not (x_nat.shape == x_adv.shape == grad.shape):
+        raise attack.AttackError(
+            f"shapes differ: {x_nat.shape}, {x_adv.shape}, {grad.shape}")
+    if cfg.update_rule == "adam":
+        stepped, adam_state = adam_update({"x": x_adv}, {"x": grad}, adam_state,
+                                          lr=cfg.adam_lr)
+        candidate = stepped["x"]
+    else:
+        candidate = x_adv - cfg.alpha * np.sign(grad)
+    delta = np.clip(candidate - x_nat, -cfg.epsilon, cfg.epsilon)
+    lo, hi = domain_bounds(x_nat.shape[1])
+    mask = coordinate_mask(cfg.mask, x_nat.shape[1])
+    projected = np.where(mask, np.clip(x_nat + delta, lo, hi), x_nat)
+    # rounding in x_nat + delta can overshoot the box by an ulp; nudge those
+    # coordinates back so |x' - x| <= epsilon holds exactly on recomputation
+    over = np.abs(projected - x_nat) > cfg.epsilon
+    while np.any(over):
+        projected[over] = np.nextafter(projected[over], x_nat[over])
+        over = np.abs(projected - x_nat) > cfg.epsilon
+    return projected, adam_state
+
+
 def run_attack_every_step(model, x, cfg, on_step=None):
     """attack.run_attack as it was before it stopped at repeated iterates.
 
@@ -245,7 +288,6 @@ def run_attack_every_step(model, x, cfg, on_step=None):
             f"target shape {target.shape} does not match input {x_nat.shape}")
 
     x_adv = x_nat.copy()
-    box = attack._projection_box(cfg, x_nat.shape[1])
     adam_state = None
     loss_trace = []
     dist_trace = []
@@ -271,7 +313,7 @@ def run_attack_every_step(model, x, cfg, on_step=None):
                 break
             ad.backward(loss)
             grad = xt.grad if xt.grad is not None else np.zeros_like(x_adv)
-            x_adv, adam_state = attack.pgd_step(x_nat, x_adv, grad, cfg, adam_state, _box=box)
+            x_adv, adam_state = attack.pgd_step(x_nat, x_adv, grad, cfg, adam_state)
             if on_step is not None:
                 on_step(m, x_adv.copy())
 

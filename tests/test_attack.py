@@ -297,20 +297,6 @@ def test_run_attack_reduces_distance(fixture_sample):
     assert len(result.distance_trace) == 151
 
 
-def test_run_attack_builds_bounds_and_mask_once(fixture_sample, monkeypatch):
-    x, target = fixture_sample
-    model = tiny_model(x.flat().shape[1], seed=4)
-    built = []
-    for name in ("domain_bounds", "coordinate_mask"):
-        def counted(*args, _name=name, _build=getattr(attack, name)):
-            built.append(_name)
-            return _build(*args)
-        monkeypatch.setattr(attack, name, counted)
-    cfg = attack.AttackConfig(target=target, kappa=1.0, epsilon=0.3, steps=5)
-    attack.run_attack(model, x, cfg)
-    assert sorted(built) == ["coordinate_mask", "domain_bounds"]
-
-
 def test_run_attack_deterministic(fixture_sample):
     x, target = fixture_sample
     model = tiny_model(x.flat().shape[1], seed=4)

@@ -4,6 +4,9 @@ import argparse
 import fcntl
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -102,6 +105,7 @@ BAD_CONFIGS = [
     ("eval", {"attack": {"steps": 2.5}}),
     ("attack", {"attack": {"lambda": True}}),
     ("attack", {"attack": {"alpha": float("nan")}}),
+    ("eval", {"eval": {"epsilon_grid": [0.45, 0.45]}}),
 ]
 
 
@@ -399,53 +403,41 @@ def test_manifest_write_failing_part_way_leaves_previous_manifest(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
 
 
-def test_rerun_into_same_out_removes_results_it_did_not_write(workspace, tmp_path):
-    # a rerun on fewer held-out records used to leave the first run's extra
-    # result files beside its own, where export would read them
+def rerun_attack_on_fewer_records(workspace, tmp_path, export_between):
+    """Attack into one --out twice, the second time on fewer held-out records.
+
+    A rerun used to leave the first run's extra result files beside its
+    own, where export would read them; a file that is no result stays.
+    """
     root, cfg_path = workspace
     out = tmp_path / "att"
-    argv = ["attack", "--dataset", str(root / "data" / "dataset.json"),
-            "--model-path", str(root / "tcn" / "model.json"), "--out", str(out)]
+    model = ["--model-path", str(root / "tcn" / "model.json")]
+    argv = ["attack", "--dataset", str(root / "data" / "dataset.json"), *model,
+            "--out", str(out)]
     wide = tmp_path / "wide.json"
     held_out = {"held_out": ["s01s02", "s03s04"]}
     wide.write_text(json.dumps({**CFG, "data": {**CFG["data"], **held_out}}), encoding="utf-8")
     assert run(argv + ["--config", str(wide)]) == 0
     assert len(list((out / "results").iterdir())) == 6
+    (out / "results" / "notes.txt").write_text("mine", encoding="utf-8")
+    if export_between:
+        assert run(["export", "--result", str(out / "results" / "result_005.json"), *model,
+                    "--out", str(out)]) == 0
     assert run(argv + ["--config", str(cfg_path)]) == 0
-    written = sorted(f"results/{p.name}" for p in (out / "results").iterdir())
+    written = sorted(f"results/{p.name}" for p in (out / "results").glob("result_*"))
     assert written == read_json(out / "manifest.json")["outputs"]
     assert written == ["results/result_000.json", "results/result_001.json"]
+    assert (out / "results" / "notes.txt").read_text(encoding="utf-8") == "mine"
 
 
-def test_rerun_removes_only_listed_files_inside_out(tmp_path):
-    out = tmp_path / "out"
-    out.mkdir()
-    args = argparse.Namespace(command="train", out=str(out), started_at="t0",
-                              dataset=str(out / "input.json"))
-    for name in ("kept.json", "gone.json", "sub/gone.json", "input.json"):
-        (out / name).parent.mkdir(exist_ok=True)
-        (out / name).write_text("{}", encoding="utf-8")
-    (tmp_path / "outside.json").write_text("{}", encoding="utf-8")
-    listed = ["kept.json", "gone.json", "sub/gone.json", "sub", "../outside.json",
-              str(tmp_path / "outside.json"), ".lock", "missing.json", "input.json",
-              "sub/../input.json"]
-    manifest = {"command": "train", "outputs": listed}
-    (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
-    with cli._artifacts(args, {}, 0) as (_, outputs):
-        outputs.append("kept.json")
-    assert sorted(p.name for p in out.rglob("*")) == ["input.json", "kept.json",
-                                                      "manifest.json", "sub"]
-    assert (tmp_path / "outside.json").exists()
-    # a manifest of another command, or one that cannot be read, removes nothing
-    for manifest in ("{", '{"outputs": ["kept.json"]}', "[]",
-                     '{"command": "synth", "outputs": ["kept.json"]}',
-                     '{"command": "train", "outputs": "kept.json"}',
-                     '{"command": "train", "outputs": [["kept.json"]]}',
-                     '{"command": "train", "outputs": ["kept.json", 1]}'):
-        (out / "manifest.json").write_text(manifest, encoding="utf-8")
-        with cli._artifacts(args, {}, 0):
-            pass
-        assert (out / "kept.json").exists()
+def test_rerun_into_same_out_removes_results_it_did_not_write(workspace, tmp_path):
+    rerun_attack_on_fewer_records(workspace, tmp_path, export_between=False)
+
+
+def test_rerun_after_export_into_same_out_removes_results_it_did_not_write(workspace,
+                                                                           tmp_path):
+    # export's manifest, which names no result, replaces the first attack's
+    rerun_attack_on_fewer_records(workspace, tmp_path, export_between=True)
 
 
 def test_commands_sharing_one_out_keep_each_others_files(workspace, tmp_path):
@@ -470,6 +462,39 @@ def test_commands_sharing_one_out_keep_each_others_files(workspace, tmp_path):
                      "sweep.json", "target.csv", "transfer.csv"]
 
 
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the attack's repeat stop compares iterates bit for bit, so a forward
+    # must not change with the number of BLAS threads
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(CFG), encoding="utf-8")
+
+    def pipeline(threads):
+        out = tmp_path / f"threads{threads}"
+        data = ["--dataset", str(out / "data" / "dataset.json")]
+        steps = [["synth", "--out", str(out / "data")],
+                 ["train", *data, "--model", "tcn", "--out", str(out / "tcn")],
+                 ["train", *data, "--model", "gru", "--out", str(out / "gru")],
+                 ["train", *data, "--model", "tcn", "--preset", "full", "--epochs", "1",
+                  "--out", str(out / "tcn_full")],
+                 ["eval", *data, "--model-path", str(out / "tcn" / "model.json"),
+                  "--out", str(out / "eval")],
+                 ["attack", *data, "--model-path", str(out / "gru" / "model.json"),
+                  "--out", str(out / "attack")]]
+        script = ("import json, sys; from skelattack import cli; "
+                  "sys.exit(not all(cli.main(argv) == 0 for argv in json.loads(sys.argv[1])))")
+        argvs = [argv + ["--config", str(cfg_path)] for argv in steps]
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+               "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], env=env, check=True,
+                       timeout=300)
+        return {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*"))
+                if p.is_file() and p.name != "manifest.json"}
+
+    one, two = pipeline(1), pipeline(2)
+    assert len(one) == 12 and one.keys() == two.keys()
+    assert [name for name in one if one[name] != two[name]] == []
+
+
 def test_lambda_zero_disables_temporal_term(workspace, tmp_path):
     # with the temporal term off, a constant-in-time perturbation pattern is
     # not penalized; just verify the flag plumbs through to the result echo
@@ -481,14 +506,6 @@ def test_lambda_zero_disables_temporal_term(workspace, tmp_path):
                 "--lambda", "0.0", "--out", str(out)]) == 0
     payload = read_json(next((out / "results").glob("*.json")))
     assert payload["config"]["lambda"] == 0.0
-
-
-def test_checkpoint_loadable_as_declared_arch(workspace):
-    root, _ = workspace
-    model = models.load_model(root / "tcn" / "model.json", expected_arch="tcn")
-    assert model.arch == "tcn"
-    with pytest.raises(models.CheckpointError):
-        models.load_model(root / "tcn" / "model.json", expected_arch="gru")
 
 
 def single_error_line(capsys):

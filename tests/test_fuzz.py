@@ -6,9 +6,12 @@ or raises its own module's error type, and that the command reading the
 file prints one error: line, exits with code 2 and leaves no --out.
 Examples are derandomized, so every run tries the same files.
 
-One property covers the attack loop instead: over drawn models, budgets,
+Two properties cover the attack instead.  Over drawn models, budgets,
 temporal weights, masks and step counts, an attack that stops at a
 repeated sign-rule iterate gives the every-step result byte for byte.
+Over drawn shapes, budgets, masks, update rules, starts on and past the
+domain edges and gradients with zeros, the projected update clipped per
+joint gives the bytes and the Adam state of the tiled projection.
 """
 
 import copy
@@ -23,7 +26,7 @@ from hypothesis import strategies as st
 
 from skelattack import attack, cli, data, evaluation, models
 
-from tests.helpers import assert_attack_matches_every_step, serialize_sbu
+from tests.helpers import assert_attack_matches_every_step, pgd_step_tiled, serialize_sbu
 
 # capsys is read before and after each example's command, so sharing it is safe
 FUZZ = settings(derandomize=True, max_examples=40, deadline=None,
@@ -219,3 +222,35 @@ def test_run_attack_equals_every_step_attack(seed, arch, epsilon, lam, mask, ste
     cfg = attack.AttackConfig(target=ATTACK_RECORDS[seed % 8].reactor, kappa=1.0,
                               epsilon=epsilon, lam=lam, mask=mask, steps=steps)
     assert_attack_matches_every_step(model, ATTACK_RECORDS[seed % 7].actor, cfg)
+
+
+def adam_bytes(state):
+    return None if state is None else (state.step, state.m["x"].tobytes(),
+                                       state.v["x"].tobytes())
+
+
+# a coordinate of the natural start lies inside the domain, on an edge or past
+# one by less than epsilon, so the clip and the ulp nudge both get work
+@FUZZ
+@given(seed=st.integers(0, 2 ** 16), frames=st.integers(1, 40), joints=st.integers(1, 15),
+       mask=st.sampled_from(["depth", "all"]), rule=st.sampled_from(["pgd", "adam"]),
+       epsilon=st.floats(1e-3, 0.45))
+def test_pgd_step_equals_tiled_projection(seed, frames, joints, mask, rule, epsilon):
+    rng = np.random.default_rng(seed)
+    lo = np.array([data.X_RANGE[0], data.Y_RANGE[0], data.DEPTH_RANGE[0]])
+    hi = np.array([data.X_RANGE[1], data.Y_RANGE[1], data.DEPTH_RANGE[1]])
+    shape = (frames, joints, 3)
+    past = rng.uniform(0.0, epsilon, shape)
+    where = rng.integers(0, 5, shape)
+    x_nat = np.select([where == 1, where == 2, where == 3, where == 4],
+                      [lo, hi, lo - past, hi + past],
+                      rng.uniform(lo, hi, shape)).reshape(frames, 3 * joints)
+    cfg = attack.AttackConfig(epsilon=epsilon, mask=mask, update_rule=rule)
+    got = want = x_nat + rng.uniform(-2 * epsilon, 2 * epsilon, x_nat.shape)
+    got_state = want_state = None
+    for _ in range(3):
+        grad = rng.normal(size=x_nat.shape) * (rng.random(x_nat.shape) < 0.7)
+        got, got_state = attack.pgd_step(x_nat, got, grad, cfg, got_state)
+        want, want_state = pgd_step_tiled(x_nat, want, grad, cfg, want_state)
+        assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+        assert adam_bytes(got_state) == adam_bytes(want_state)

@@ -256,14 +256,6 @@ def test_checkpoint_corrupted_file(tmp_path):
         models.load_model(path)
 
 
-def test_checkpoint_architecture_mismatch(tmp_path):
-    model = small_model("tcn", 6)
-    path = tmp_path / "tcn.json"
-    models.save_model(model, path)
-    with pytest.raises(models.CheckpointError, match="expected 'gru'"):
-        models.load_model(path, expected_arch="gru")
-
-
 def test_checkpoint_version_mismatch(tmp_path):
     model = small_model("tcn", 6)
     path = tmp_path / "tcn.json"
