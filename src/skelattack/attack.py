@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .data import DEPTH_RANGE, SkeletonSequence, X_RANGE, Y_RANGE
+from .data import LOWER, UPPER, SkeletonSequence
 from .optim import AdamState, adam_update
 
 EPSILON_GRID = (0.075, 0.15, 0.225, 0.3, 0.375, 0.45)
@@ -173,9 +173,7 @@ def _eta(kappa: float | None, frames: int) -> float:
 # projected update
 
 
-# One joint's (x, y, depth): its coordinate domain, and the coordinates each mask moves.
-_LOWER = np.array([X_RANGE[0], Y_RANGE[0], DEPTH_RANGE[0]])
-_UPPER = np.array([X_RANGE[1], Y_RANGE[1], DEPTH_RANGE[1]])
+# the coordinates of one joint's (x, y, depth) that each mask moves
 _MOVABLE = {"depth": np.array([False, False, True]), "all": np.array([True, True, True])}
 
 
@@ -187,8 +185,9 @@ def pgd_step(x_nat: np.ndarray, x_adv: np.ndarray, grad: np.ndarray,
     The sign rule takes a fixed step against the gradient; the adam rule
     substitutes an Adam step on the input.  Either way the perturbation
     is clipped into the epsilon box around the natural input, clamped to
-    the coordinate domain, and frozen coordinates are restored exactly;
-    the domain bounds and the mask are per (x, y, depth) of each joint.
+    the domain data.LOWER..UPPER of each joint's (x, y, depth), and frozen
+    coordinates are restored exactly.  A box that misses the domain (a
+    movable natural coordinate over epsilon outside it) raises AttackError.
     """
     if not (x_nat.shape == x_adv.shape == grad.shape):
         raise AttackError(
@@ -202,13 +201,16 @@ def pgd_step(x_nat: np.ndarray, x_adv: np.ndarray, grad: np.ndarray,
     delta = np.clip(candidate - x_nat, -cfg.epsilon, cfg.epsilon)
     joints = x_nat.reshape(x_nat.shape[0], -1, 3)
     projected = np.where(_MOVABLE[cfg.mask],
-                         np.clip(joints + delta.reshape(joints.shape), _LOWER, _UPPER),
+                         np.clip(joints + delta.reshape(joints.shape), LOWER, UPPER),
                          joints).reshape(x_nat.shape)
     # rounding in x_nat + delta can overshoot the box by an ulp; nudge those
     # coordinates back so |x' - x| <= epsilon holds exactly on recomputation
     over = np.abs(projected - x_nat) > cfg.epsilon
     while np.any(over):
         projected[over] = np.nextafter(projected[over], x_nat[over])
+        nudged = projected.reshape(joints.shape)
+        if np.any(over & ((nudged < LOWER) | (nudged > UPPER)).reshape(x_nat.shape)):
+            raise AttackError("a natural coordinate lies more than epsilon outside the domain")
         over = np.abs(projected - x_nat) > cfg.epsilon
     return projected, adam_state
 

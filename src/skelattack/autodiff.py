@@ -40,13 +40,12 @@ class Tensor:
 
     __slots__ = ("value", "grad", "requires_grad", "op", "_children", "_backward_fn")
 
-    def __init__(self, value, requires_grad: bool = False, op: str = "leaf",
-                 children: tuple = ()):
+    def __init__(self, value, requires_grad: bool = False, op: str = "leaf"):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self.op = op
-        self._children = children
+        self._children: tuple[Tensor, ...] = ()
         self._backward_fn: Callable[[np.ndarray], None] | None = None
 
     @property
@@ -157,8 +156,7 @@ def scalar_multiply(a: Tensor, scalar: float) -> Tensor:
     s = float(scalar)
 
     def backward_fn(g):
-        if a.requires_grad:
-            a.accumulate(g * s)
+        a.accumulate(g * s)
 
     return _result(a.value * s, "scalar_multiply", (a,), backward_fn)
 
@@ -195,8 +193,7 @@ def relu(a: Tensor) -> Tensor:
     va = a.value
 
     def backward_fn(g):
-        if a.requires_grad:
-            a.accumulate(g * (va > 0.0))
+        a.accumulate(g * (va > 0.0))
 
     return _result(np.maximum(va, 0.0), "relu", (a,), backward_fn)
 
@@ -205,8 +202,7 @@ def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.value)
 
     def backward_fn(g):
-        if a.requires_grad:
-            a.accumulate(g * (1.0 - out * out))
+        a.accumulate(g * (1.0 - out * out))
 
     return _result(out, "tanh", (a,), backward_fn)
 
@@ -215,8 +211,7 @@ def sigmoid(a: Tensor) -> Tensor:
     out = 1.0 / (1.0 + np.exp(-a.value))
 
     def backward_fn(g):
-        if a.requires_grad:
-            a.accumulate(g * out * (1.0 - out))
+        a.accumulate(g * out * (1.0 - out))
 
     return _result(out, "sigmoid", (a,), backward_fn)
 
@@ -226,16 +221,14 @@ def absolute(a: Tensor) -> Tensor:
 
     # np.sign(0) == 0, so the subgradient at the kink is 0.
     def backward_fn(g):
-        if a.requires_grad:
-            a.accumulate(g * np.sign(va))
+        a.accumulate(g * np.sign(va))
 
     return _result(np.abs(va), "absolute", (a,), backward_fn)
 
 
 def sum_reduce(a: Tensor) -> Tensor:
     def backward_fn(g):
-        if a.requires_grad:
-            a.accumulate(np.full_like(a.value, float(g)))
+        a.accumulate(np.full_like(a.value, float(g)))
 
     return _result(np.sum(a.value), "sum_reduce", (a,), backward_fn)
 
@@ -247,10 +240,9 @@ def l2_norm(a: Tensor, axis: int = -1) -> Tensor:
     norms = np.sqrt(np.sum(va * va, axis=axis))
 
     def backward_fn(g):
-        if a.requires_grad:
-            safe = np.where(norms == 0.0, 1.0, norms)
-            scale = np.expand_dims(g / safe, axis=axis)
-            a.accumulate(scale * va)
+        safe = np.where(norms == 0.0, 1.0, norms)
+        scale = np.expand_dims(g / safe, axis=axis)
+        a.accumulate(scale * va)
 
     return _result(norms, "l2_norm", (a,), backward_fn)
 
@@ -285,8 +277,7 @@ def slice_axis(a: Tensor, start: int, stop: int, axis: int = 0) -> Tensor:
     index = (slice(start, stop),) if axis == 0 else (slice(None), slice(start, stop))
 
     def backward_fn(g):
-        if a.requires_grad:
-            a.accumulate(g, index)
+        a.accumulate(g, index)
 
     return _result(va[index].copy(), "slice", (a,), backward_fn)
 
@@ -437,10 +428,9 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def backward(root: Tensor) -> dict[Tensor, np.ndarray]:
-    """Accumulate adjoints of `root` w.r.t. every differentiable node.
+def backward(root: Tensor) -> None:
+    """Accumulate adjoints of `root` into the .grad of every differentiable leaf.
 
-    Returns a map from differentiable leaf tensors to their gradients.
     Only leaves keep their adjoints; an interior node's adjoint is
     released once it has been passed on.  Leaf adjoints add onto existing
     ones; set the leaves' .grad to None first to re-run a backward pass
@@ -450,15 +440,9 @@ def backward(root: Tensor) -> dict[Tensor, np.ndarray]:
         raise ValueError(f"backward: root must be scalar, got shape {root.value.shape}")
     order = _topo_order(root)
     root.accumulate(np.ones_like(root.value))
-    leaf_grads: dict[Tensor, np.ndarray] = {}
     for node in reversed(order):
-        if node.grad is None:
-            continue
-        if node._backward_fn is not None:
+        if node.grad is not None and node._backward_fn is not None:
             node._backward_fn(node.grad)
             # every consumer has added its share, so the interior adjoint is
             # spent; dropping it now keeps one frontier of adjoints alive
             node.grad = None
-        elif node.requires_grad and not node._children:
-            leaf_grads[node] = node.grad
-    return leaf_grads

@@ -35,7 +35,7 @@ from .data import (CATEGORIES, DEFAULT_HELD_OUT_SETS, SkeletonSequence, array_fr
 from .evaluation import (DEFAULT_TOLERANCES, blackbox_transfer, fit_target_length,
                          load_sweep, make_objectives, report_rows, save_sweep,
                          transfer_rows, whitebox_sweep, write_csv)
-from .models import (GRU_PRESETS, TCN_PRESETS, ModelError, TrainConfig,
+from .models import (ARCHITECTURES, GRU_PRESETS, TCN_PRESETS, ModelError, TrainConfig,
                      create_model, load_model, save_model, train)
 
 
@@ -107,14 +107,11 @@ def load_config(path=None, flags=None) -> dict:
         _train_settings(config["train"])
     except (AttackError, ModelError) as exc:
         raise CliError(f"bad config: {exc}") from None
-    grid = config["eval"]["epsilon_grid"]
-    for eps in grid:
+    for eps in config["eval"]["epsilon_grid"]:
         try:
             dataclasses.replace(base, epsilon=eps)
         except AttackError as exc:
             raise CliError(f"bad config eval.epsilon_grid: {exc}") from None
-    if len(set(grid)) < len(grid):
-        raise CliError(f"bad config eval.epsilon_grid: it repeats an epsilon: {grid}")
     return config
 
 
@@ -148,7 +145,7 @@ def _check_type(name: str, value, like) -> None:
     """Refuse `value` unless it has the JSON type of `like`.
 
     An int passes for a float but a bool never passes for a number; a
-    list must be non-empty, with every entry of the type of like[0].
+    list must be non-empty, with distinct entries of the type of like[0].
     """
     if isinstance(like, list):
         if not isinstance(value, list) or not value:
@@ -156,6 +153,8 @@ def _check_type(name: str, value, like) -> None:
                            f"got {json.dumps(value)}")
         for item in value:
             _check_type(f"{name} entry", item, like[0])
+        if len(set(value)) < len(value):
+            raise CliError(f"config key {name} repeats an entry: {json.dumps(value)}")
     elif not (type(value) is type(like) or (type(like) is float and type(value) is int)):
         raise CliError(f"config key {name} must be {_TYPE_NAMES[type(like)]}, "
                        f"got {json.dumps(value)}")
@@ -244,12 +243,18 @@ def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _load_test_inputs(dataset_path, held_out) -> tuple[list, list[SkeletonSequence]]:
-    records = read_dataset(dataset_path)
+def _attack_setup(args, config: dict, labels: list[str], seed: int):
+    """The held-out inputs, the model, the objectives and the attack settings, in that order."""
+    held_out = config["data"]["held_out"]
+    records = read_dataset(args.dataset)
     held = held_out_records(records, held_out)
     if not held:
         raise CliError("no held-out records: the test set is empty")
-    return records, [seq for record in held for seq in (record.actor, record.reactor)]
+    model = load_model(args.model_path)
+    objectives = make_objectives(records, labels, config["kappa_table"], seed=seed,
+                                 prefer_ids=held_out)
+    inputs = [seq for record in held for seq in (record.actor, record.reactor)]
+    return inputs, model, objectives, _attack_settings(config["attack"])
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +291,9 @@ def cmd_train(args, config: dict) -> int:
 
 def cmd_attack(args, config: dict) -> int:
     acfg = config["attack"]
-    records, inputs = _load_test_inputs(args.dataset, config["data"]["held_out"])
-    model = load_model(args.model_path)
-    objective = make_objectives(records, [acfg["objective"]], config["kappa_table"],
-                                seed=acfg["seed"],
-                                prefer_ids=config["data"]["held_out"])[0]
+    inputs, model, (objective,), base = _attack_setup(args, config, [acfg["objective"]],
+                                                      acfg["seed"])
     kappa = acfg["kappa"] if acfg["kappa"] is not None else objective.kappa
-    base = _attack_settings(acfg)
     payloads = []
     for i, seq in enumerate(inputs):
         target = fit_target_length(objective.target, seq.num_frames)
@@ -317,13 +318,8 @@ def cmd_attack(args, config: dict) -> int:
 
 def cmd_eval(args, config: dict) -> int:
     ecfg = config["eval"]
-    records, inputs = _load_test_inputs(args.dataset, config["data"]["held_out"])
-    model = load_model(args.model_path)
     labels = ecfg["objectives"] if ecfg["objectives"] is not None else list(CATEGORIES)
-    objectives = make_objectives(records, labels, config["kappa_table"],
-                                 seed=ecfg["seed"],
-                                 prefer_ids=config["data"]["held_out"])
-    base = _attack_settings(config["attack"])
+    inputs, model, objectives, base = _attack_setup(args, config, labels, ecfg["seed"])
     model_id = f"{model.arch}:{Path(args.model_path).name}"
     report = whitebox_sweep(model, model_id, inputs, objectives,
                             epsilon_grid=ecfg["epsilon_grid"], base_cfg=base)
@@ -415,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a sequence regressor")
     common(p, dataset=True, seed=True)
-    p.add_argument("--model", dest="train.model", choices=("tcn", "gru"))
+    p.add_argument("--model", dest="train.model", choices=tuple(ARCHITECTURES))
     p.add_argument("--preset", dest="train.preset",
                    choices=sorted(set(TCN_PRESETS) & set(GRU_PRESETS)))
     p.add_argument("--epochs", dest="train.epochs", type=int)

@@ -28,6 +28,8 @@ NUM_JOINTS = 15
 X_RANGE = (0.0, 1.0)
 Y_RANGE = (0.0, 1.0)
 DEPTH_RANGE = (0.0, 7.8125)
+LOWER = np.array([X_RANGE[0], Y_RANGE[0], DEPTH_RANGE[0]])
+UPPER = np.array([X_RANGE[1], Y_RANGE[1], DEPTH_RANGE[1]])
 
 CATEGORIES = (
     "approaching",
@@ -103,13 +105,11 @@ class SkeletonSequence:
     def validate_ranges(self) -> None:
         if not np.all(np.isfinite(self.joints)):
             raise ValidationError("non-finite coordinate")
-        x, y, d = self.joints[..., 0], self.joints[..., 1], self.joints[..., 2]
-        for name, vals, (lo, hi) in (("x", x, X_RANGE), ("y", y, Y_RANGE),
-                                     ("depth", d, DEPTH_RANGE)):
+        for i, name in enumerate(("x", "y", "depth")):
+            vals, lo, hi = self.joints[..., i], LOWER[i], UPPER[i]
             if vals.size and (vals.min() < lo or vals.max() > hi):
                 bad = vals.min() if vals.min() < lo else vals.max()
-                raise ValidationError(
-                    f"{name} coordinate {bad} outside [{lo}, {hi}]")
+                raise ValidationError(f"{name} coordinate {bad} outside [{lo}, {hi}]")
 
 
 @dataclass
@@ -415,9 +415,7 @@ def synth_generate(seed: int, n_per_category: int = 2, frames: int = 40,
             actor += rng.uniform(-1e-3, 1e-3, size=actor.shape)
             reactor += rng.uniform(-1e-3, 1e-3, size=reactor.shape)
             for seq in (actor, reactor):
-                np.clip(seq[..., 0], *X_RANGE, out=seq[..., 0])
-                np.clip(seq[..., 1], *Y_RANGE, out=seq[..., 1])
-                np.clip(seq[..., 2], *DEPTH_RANGE, out=seq[..., 2])
+                np.clip(seq, LOWER, UPPER, out=seq)
             set_id = _SET_ID_POOL[(ci * n_per_category + copy) % len(_SET_ID_POOL)]
             records.append(InteractionRecord(
                 actor=SkeletonSequence(actor),

@@ -16,7 +16,7 @@ single-threaded per model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -210,32 +210,32 @@ class GruRegressor(SequenceRegressor):
         return ad.add(ad.matmul(h_seq, pt["head_w"]), pt["head_b"])
 
 
+# config-field overrides by preset; "full" is the configs' defaults, the paper's sizes
 TCN_PRESETS = {
     "tiny": dict(hidden_layers=3, channels=32, kernel_width=3),
-    "full": dict(hidden_layers=10, channels=256, kernel_width=3),
+    "full": {},
 }
 
 GRU_PRESETS = {
-    "tiny": [(1, 32)],
-    "full": [(2, 512), (2, 256), (1, 128)],
+    "tiny": dict(stack=[(1, 32)]),
+    "full": {},
 }
+
+ARCHITECTURES = {"tcn": (TcnRegressor, TcnConfig, TCN_PRESETS),
+                 "gru": (GruRegressor, GruConfig, GRU_PRESETS)}
 
 
 def create_model(arch: str, in_dim: int, preset: str = "tiny", seed: int = 0,
                  **overrides) -> SequenceRegressor:
-    presets = {"tcn": TCN_PRESETS, "gru": GRU_PRESETS}.get(arch)
-    if presets is None:
+    if arch not in ARCHITECTURES:
         raise ModelError(f"unknown architecture {arch!r}")
+    cls, config_cls, presets = ARCHITECTURES[arch]
     if preset not in presets:
         raise ModelError(f"unknown {arch} preset {preset!r}; choose from {sorted(presets)}")
-    if arch == "tcn":
-        kwargs = dict(presets[preset])
-        kwargs.update(overrides)
-        return TcnRegressor(TcnConfig(in_dim=in_dim, **kwargs), seed=seed)
-    stack = overrides.pop("stack", presets[preset])
-    if overrides:
-        raise ModelError(f"unknown overrides for gru: {sorted(overrides)}")
-    return GruRegressor(GruConfig(in_dim=in_dim, stack=stack), seed=seed)
+    unknown = set(overrides) - {f.name for f in fields(config_cls)}
+    if unknown:
+        raise ModelError(f"unknown overrides for {arch}: {sorted(unknown)}")
+    return cls(config_cls(in_dim=in_dim, **{**presets[preset], **overrides}), seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -338,18 +338,17 @@ def _model_from_json(payload: dict) -> SequenceRegressor:
     if payload.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {payload.get('version')}")
     arch = payload.get("arch")
-    classes = {"tcn": (TcnRegressor, TcnConfig), "gru": (GruRegressor, GruConfig)}
-    if arch not in classes:
+    if arch not in ARCHITECTURES:
         raise CheckpointError(f"unknown architecture {arch!r}")
-    cls, config_cls = classes[arch]
+    cls, config_cls, _ = ARCHITECTURES[arch]
     # every layer has parameters: refuse more layers than entries before building them
-    fields, entries = payload["config"], len(payload["params"])
-    layers = (fields.get("hidden_layers", TcnConfig.hidden_layers) if arch == "tcn"
-              else sum(int(entry[0]) for entry in fields.get("stack", ())))
+    settings, entries = payload["config"], len(payload["params"])
+    layers = (settings.get("hidden_layers", TcnConfig.hidden_layers) if arch == "tcn"
+              else sum(int(entry[0]) for entry in settings.get("stack", ())))
     if layers > entries:
         raise CheckpointError(f"checkpoint config names {layers} layers, more than its "
                               f"{entries} parameter entries")
-    config = config_cls(**fields)
+    config = config_cls(**settings)
     params = {name: array_from_json(entry["data"]).reshape(entry["shape"])
               for name, entry in payload["params"].items()}
     expected = {name: shape for name, (shape, _) in cls.param_specs(config).items()}

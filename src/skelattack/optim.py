@@ -10,6 +10,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamState:
@@ -31,11 +35,8 @@ def init_adam(params: dict[str, np.ndarray]) -> AdamState:
 def adam_update(params: dict[str, np.ndarray],
                 grads: dict[str, np.ndarray],
                 state: AdamState | None = None,
-                lr: float = 0.001,
-                beta1: float = 0.9,
-                beta2: float = 0.999,
-                eps: float = 1e-8) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One bias-corrected Adam step; returns fresh params and state."""
+                lr: float = 0.001) -> tuple[dict[str, np.ndarray], AdamState]:
+    """One bias-corrected Adam step (BETA1, BETA2, EPS); returns fresh params and state."""
     if state is None:
         state = init_adam(params)
     if set(params) != set(grads) or set(params) != set(state.m):
@@ -50,11 +51,11 @@ def adam_update(params: dict[str, np.ndarray],
             raise ValueError(
                 f"adam_update: shape mismatch for {name!r}: "
                 f"param {p.shape}, grad {g.shape}")
-        m = beta1 * state.m[name] + (1.0 - beta1) * g
-        v = beta2 * state.v[name] + (1.0 - beta2) * (g * g)
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        new_params[name] = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+        m = BETA1 * state.m[name] + (1.0 - BETA1) * g
+        v = BETA2 * state.v[name] + (1.0 - BETA2) * (g * g)
+        m_hat = m / (1.0 - BETA1 ** t)
+        v_hat = v / (1.0 - BETA2 ** t)
+        new_params[name] = p - lr * m_hat / (np.sqrt(v_hat) + EPS)
         new_m[name] = m
         new_v[name] = v
     return new_params, AdamState(new_m, new_v, t)

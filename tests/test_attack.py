@@ -2,7 +2,12 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,6 +216,26 @@ def test_pgd_step_respects_domain_bounds():
     stepped, _ = attack.pgd_step(x, x.copy(), grad, cfg)
     assert stepped[0, 0] <= 1.0 and stepped[0, 1] <= 1.0
     assert stepped[0, 2] <= data.DEPTH_RANGE[1]
+
+
+def test_pgd_step_refuses_a_start_further_than_epsilon_outside_the_domain():
+    # depth 8.0 lies 0.1875 past the domain's 7.8125, so the box of half-width
+    # 0.075 around it misses the domain; run apart, so that a hang fails the test
+    script = textwrap.dedent("""
+        import numpy as np
+        from skelattack import attack
+        x = np.array([[0.5, 0.5, 8.0]])
+        cfg = attack.AttackConfig(epsilon=0.075, mask="depth")
+        try:
+            attack.pgd_step(x, x, np.ones_like(x), cfg)
+        except attack.AttackError as exc:
+            print(exc)
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(attack.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "more than epsilon outside the domain" in done.stdout
 
 
 def test_config_validation():

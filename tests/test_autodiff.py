@@ -34,8 +34,33 @@ def test_l2_norm_pythagorean():
 
 def test_backward_sum_gives_ones():
     x = ad.Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
-    grads = ad.backward(ad.sum_reduce(x))
-    assert np.array_equal(grads[x], np.ones((3, 4)))
+    ad.backward(ad.sum_reduce(x))
+    assert np.array_equal(x.grad, np.ones((3, 4)))
+
+
+SINGLE_INPUT_OPS = {
+    "scalar_multiply": lambda a: ad.scalar_multiply(a, 2.0),
+    "relu": ad.relu,
+    "tanh": ad.tanh,
+    "sigmoid": ad.sigmoid,
+    "absolute": ad.absolute,
+    "sum_reduce": ad.sum_reduce,
+    "l2_norm": ad.l2_norm,
+    "slice": lambda a: ad.slice_axis(a, 0, 1),
+}
+
+
+@pytest.mark.parametrize("op", SINGLE_INPUT_OPS)
+def test_single_input_op_keeps_backward_only_when_its_child_requires_grad(op):
+    # the single-input ops' backward closures add into their child unguarded
+    value = np.arange(6.0).reshape(2, 3) - 2.0
+    frozen = SINGLE_INPUT_OPS[op](ad.Tensor(value))
+    assert not frozen.requires_grad and frozen._backward_fn is None
+    a = ad.Tensor(value, requires_grad=True)
+    live = SINGLE_INPUT_OPS[op](a)
+    assert live.requires_grad and live._children == (a,)
+    live._backward_fn(np.ones_like(live.value))
+    assert a.grad.shape == value.shape
 
 
 def test_backward_l2_norm_direction():

@@ -106,6 +106,8 @@ BAD_CONFIGS = [
     ("attack", {"attack": {"lambda": True}}),
     ("attack", {"attack": {"alpha": float("nan")}}),
     ("eval", {"eval": {"epsilon_grid": [0.45, 0.45]}}),
+    ("eval", {"eval": {"objectives": ["kicking", "kicking"]}}),
+    ("attack", {"data": {"held_out": ["s01s02", "s03s04", "s01s02"]}}),
 ]
 
 

@@ -307,10 +307,25 @@ def test_config_validation():
     for arch in ("tcn", "gru"):
         with pytest.raises(models.ModelError, match="preset"):
             models.create_model(arch, 6, preset="huge")
+        with pytest.raises(models.ModelError, match=rf"unknown overrides for {arch}: \['width'\]"):
+            models.create_model(arch, 6, width=8)
     with pytest.raises(models.ModelError, match="learning rate"):
         models.TrainConfig(lr=float("nan"))
     cfg = models.GruConfig(in_dim=6, stack=[(2, 8), (1, 4)])
     assert cfg.layer_sizes() == [8, 8, 4]
+
+
+@pytest.mark.parametrize("arch,preset", [(arch, preset)
+                                         for arch, (_, _, presets) in models.ARCHITECTURES.items()
+                                         for preset in presets])
+def test_every_preset_round_trips_through_a_checkpoint(arch, preset, tmp_path):
+    model = models.create_model(arch, 45, preset=preset, seed=3)
+    path = tmp_path / "model.json"
+    models.save_model(model, path)
+    loaded = models.load_model(path)
+    assert type(loaded) is type(model) and loaded.config == model.config
+    assert loaded.params.keys() == model.params.keys()
+    assert all(np.array_equal(loaded.params[name], model.params[name]) for name in model.params)
 
 
 def test_checkpoint_with_zero_kernel_width_refused_at_load(tmp_path):
