@@ -3,9 +3,10 @@
 Every command loads, checks and computes everything first, then creates
 the output directory only to write its finished artifacts plus a
 manifest.json (command, config snapshot, seed, paths, version,
-timestamps), locked while it writes.  So a command that fails leaves no
-output directory.  Given the same config and seed, reruns produce
-byte-identical datasets, checkpoints and reports.
+timestamps), holding an flock on the directory itself while it writes.
+So a command that fails leaves no output directory, and a killed one no
+lock.  Given the same config and seed, reruns produce byte-identical
+datasets, checkpoints and reports.
 
 Config precedence: command-line flags > config file > built-in defaults.
 The attack and train defaults are those of AttackConfig and TrainConfig,
@@ -30,8 +31,8 @@ from . import __version__
 from .attack import (EPSILON_GRID, SETTINGS, AttackConfig, AttackError, result_to_dict,
                      run_attack)
 from .data import (CATEGORIES, DEFAULT_HELD_OUT_SETS, SkeletonSequence, array_from_json,
-                   atomic_write, held_out_records, read_dataset, read_json, split_by_sets,
-                   synth_generate, write_dataset, write_json)
+                   held_out_records, read_dataset, read_json, split_by_sets, synth_generate,
+                   write_dataset, write_json)
 from .evaluation import (DEFAULT_TOLERANCES, blackbox_transfer, fit_target_length,
                          load_sweep, make_objectives, report_rows, save_sweep,
                          transfer_rows, whitebox_sweep, write_csv)
@@ -193,35 +194,24 @@ def _artifacts(args, config: dict, seed: int):
 
     A command enters the block only to write results it has finished
     computing, so --out is created, and locked, for the writes alone.  The
-    lock is an exclusive flock on out/.lock.  The kernel releases a flock
-    when its holder dies, so a killed run leaves at most an unlocked .lock
-    file, which the next run takes over.  A block that ends without error
-    writes manifest.json, naming the input files and the outputs.
+    lock is an exclusive flock on a descriptor of --out itself, so there is
+    no lock file; the kernel releases it when the descriptor closes or its
+    holder dies.  A block that ends without error writes manifest.json,
+    naming the input files and the outputs.
     """
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    lock = out / ".lock"
-    while True:
-        fd = os.open(lock, os.O_CREAT | os.O_WRONLY)
+    fd = os.open(out, os.O_RDONLY)
+    try:
         try:
             fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-            # a holder unlinks the file before it lets go, so the file just
-            # locked may no longer be the one at the path: then lock that one
-            held = os.path.samestat(os.fstat(fd), os.stat(lock))
         except BlockingIOError:
-            os.close(fd)
             raise CliError(f"output directory {out} is locked by another run") from None
-        except FileNotFoundError:
-            held = False
-        if held:
-            break
-        os.close(fd)
-    try:
         outputs: list[str] = []
         yield out, outputs
         inputs = {name: str(getattr(args, arg)) for arg, name in _INPUTS.items()
                   if hasattr(args, arg)}
-        manifest = {
+        write_json(out / "manifest.json", {
             "command": args.command,
             "tool_version": __version__,
             "seed": seed,
@@ -230,12 +220,8 @@ def _artifacts(args, config: dict, seed: int):
             "outputs": sorted(outputs),
             "started_at": args.started_at,
             "finished_at": _now(),
-        }
-        with atomic_write(out / "manifest.json") as fh:
-            json.dump(manifest, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        })
     finally:
-        os.unlink(lock)
         os.close(fd)
 
 

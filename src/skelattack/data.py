@@ -8,9 +8,9 @@ concurrently.
 
 read_json and write_json are the one reader and the one writer of every
 JSON artifact (datasets, checkpoints, sweeps, attack results).  A JSON
-array becomes a float64 array, NaN and Infinity refused, in
-array_from_json; write_json takes ndarrays as they are, writes each as
-its nested list, and refuses NaN and Infinity too.
+array of numbers becomes a float64 array, any other value, NaN and
+Infinity refused, in array_from_json; write_json takes ndarrays as they
+are, writes each as its nested list, and refuses NaN and Infinity too.
 """
 
 from __future__ import annotations
@@ -210,8 +210,8 @@ def record_to_dict(record: InteractionRecord) -> dict:
 def record_from_dict(payload: dict) -> InteractionRecord:
     try:
         record = InteractionRecord(
-            actor=SkeletonSequence.from_flat(np.array(payload["actor"], dtype=np.float64)),
-            reactor=SkeletonSequence.from_flat(np.array(payload["reactor"], dtype=np.float64)),
+            actor=SkeletonSequence.from_flat(array_from_json(payload["actor"])),
+            reactor=SkeletonSequence.from_flat(array_from_json(payload["reactor"])),
             category=str(payload["category"]),
             set_id=str(payload["set_id"]),
         )
@@ -281,11 +281,13 @@ def read_json(path, error: Exception, build):
 
 
 def array_from_json(value) -> np.ndarray:
-    """A JSON number or (nested) array as a float64 array; NaN and Infinity are refused."""
-    arr = np.array(value, dtype=np.float64)
+    """JSON numbers as a float64 array; a non-number, NaN or Infinity is refused."""
+    arr = np.array(value)
+    if arr.dtype.kind not in "iuf":  # numpy upcasts a boolean among numbers to 0 or 1
+        raise ValueError("the file holds a value that is not a number")
     if not np.all(np.isfinite(arr)):
-        raise ValueError("the file holds a non-finite value")
-    return arr
+        raise ValidationError("the file holds a non-finite value")
+    return arr.astype(np.float64, copy=False)
 
 
 def write_dataset(records: list[InteractionRecord], path) -> None:

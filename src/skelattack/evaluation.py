@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .attack import EPSILON_GRID, AttackConfig, distance_sum, run_attack
+from .attack import AttackConfig, distance_sum, run_attack
 from .data import (InteractionRecord, SkeletonSequence, array_from_json, atomic_write,
                    read_json, write_json)
 
@@ -181,8 +181,8 @@ def judge(model, sequences: list[np.ndarray], targets: list[np.ndarray],
 def whitebox_sweep(model, model_id: str,
                    inputs: list[SkeletonSequence],
                    objectives: list[Objective],
-                   epsilon_grid=None,
-                   base_cfg: AttackConfig | None = None,
+                   epsilon_grid: list[float],
+                   base_cfg: AttackConfig,
                    on_result=None) -> SweepReport:
     """Attack every (sample, objective, epsilon) cell and aggregate rates.
 
@@ -190,15 +190,14 @@ def whitebox_sweep(model, model_id: str,
     """
     if not inputs:
         raise EvaluationError("no test inputs to attack")
-    grid = list(epsilon_grid) if epsilon_grid is not None else list(EPSILON_GRID)
-    base = base_cfg if base_cfg is not None else AttackConfig()
+    grid = list(epsilon_grid)
     report = SweepReport(model_id=model_id, epsilon_grid=grid, objectives=objectives)
     for objective in objectives:
         targets = [fit_target_length(objective.target, seq.num_frames) for seq in inputs]
         for eps in grid:
             advs = []
             for seq, target in zip(inputs, targets):
-                cfg = replace(base, target=target, kappa=objective.kappa, epsilon=eps)
+                cfg = replace(base_cfg, target=target, kappa=objective.kappa, epsilon=eps)
                 result = run_attack(model, seq, cfg)
                 advs.append(result.adversarial.flat())
                 if on_result is not None:

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -355,42 +356,61 @@ def test_locked_directory_rejected(workspace, tmp_path):
     out = tmp_path / "locked"
     out.mkdir()
     root, cfg_path = workspace
-    with open(out / ".lock", "w") as holder:  # a running holder's lock
+    holder = os.open(out, os.O_RDONLY)  # a running holder's lock
+    try:
         fcntl.flock(holder, fcntl.LOCK_EX)
         code = run(["synth", "--config", str(cfg_path), "--out", str(out)])
+    finally:
+        os.close(holder)
     assert code != 0
     assert not (out / "dataset.json").exists()
 
 
-def test_leftover_lock_file_without_holder_does_not_block(workspace, tmp_path):
-    # what a killed run leaves behind: the file, but no lock on it
-    out = tmp_path / "stale"
+@contextmanager
+def lock_held_elsewhere(out):
+    """Hold the flock on `out` in a subprocess, which is SIGKILLed when the block ends."""
+    script = ("import fcntl, os, sys, time; fd = os.open(sys.argv[1], os.O_RDONLY); "
+              "fcntl.flock(fd, fcntl.LOCK_EX); print('locked', flush=True); time.sleep(300)")
+    with subprocess.Popen([sys.executable, "-c", script, str(out)], stdout=subprocess.PIPE,
+                          text=True) as holder:
+        try:
+            assert holder.stdout.readline() == "locked\n"
+            yield
+        finally:
+            holder.kill()
+
+
+def test_lock_of_a_killed_holder_does_not_block(workspace, tmp_path):
+    out = tmp_path / "killed"
     out.mkdir()
-    (out / ".lock").touch()
     root, cfg_path = workspace
-    assert run(["synth", "--config", str(cfg_path), "--out", str(out)]) == 0
+    argv = ["synth", "--config", str(cfg_path), "--out", str(out)]
+    with lock_held_elsewhere(out):
+        assert run(argv) == 2
+    assert run(argv) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["dataset.json", "manifest.json"]
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    # `python -m skelattack.cli` runs main() through entrypoint() and sys.exit
+    out = tmp_path / "data"
+    out.mkdir()
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+
+    def synth():
+        return subprocess.run([sys.executable, "-m", "skelattack.cli", "synth",
+                               "--per-category", "1", "--frames", "4", "--joints", "2",
+                               "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    with lock_held_elsewhere(out):
+        locked = synth()
+    assert locked.returncode == 2
+    lines = locked.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "locked" in lines[0]
+    assert not (out / "dataset.json").exists()
+    assert synth().returncode == 0
     assert (out / "dataset.json").exists()
-    assert not (out / ".lock").exists()
-
-
-def test_lock_is_taken_on_the_file_at_the_path(workspace, tmp_path, monkeypatch):
-    # a holder finishing between our open and our flock unlinks the file we
-    # opened; locking that file would let a third run lock a new one beside us
-    out = tmp_path / "raced"
-    real_flock = fcntl.flock
-    calls = []
-
-    def flock(fd, operation):
-        if not calls:
-            (out / ".lock").unlink()
-        calls.append(fd)
-        real_flock(fd, operation)
-
-    monkeypatch.setattr(cli.fcntl, "flock", flock)
-    root, cfg_path = workspace
-    assert run(["synth", "--config", str(cfg_path), "--out", str(out)]) == 0
-    assert len(calls) == 2
-    assert not (out / ".lock").exists()
 
 
 def test_manifest_write_failing_part_way_leaves_previous_manifest(tmp_path):
@@ -398,7 +418,7 @@ def test_manifest_write_failing_part_way_leaves_previous_manifest(tmp_path):
     with cli._artifacts(args, {"data": {}}, 0) as (_, outputs):
         outputs.append("dataset.json")
     before = (tmp_path / "manifest.json").read_bytes()
-    with pytest.raises(TypeError):  # fails after "command" is written
+    with pytest.raises(TypeError):  # fails while the manifest is encoded
         with cli._artifacts(args, {"data": object()}, 0):
             pass
     assert (tmp_path / "manifest.json").read_bytes() == before
@@ -634,6 +654,9 @@ PROBES = [
     ("dataset-records-of-numbers", "dataset", edit("records", value=[1])),
     ("dataset-record-without-actor", "dataset", edit("records", 0, "actor", delete=True)),
     ("dataset-nan-coordinate", "dataset", edit("records", 0, "actor", 0, 0, value=math.nan)),
+    ("dataset-string-coordinate", "dataset", edit("records", 0, "actor", 0, 0, value="0.5")),
+    ("dataset-boolean-coordinates", "dataset",
+     edit("records", 0, "actor", value=[[True] * SEQUENCE_SHAPE[1]] * SEQUENCE_SHAPE[0])),
     ("checkpoint-not-utf8", "checkpoint", fixed(NOT_UTF8)),
     ("checkpoint-truncated", "checkpoint", lambda p: json.dumps(p).encode("utf-8")[:200]),
     ("checkpoint-params-list", "checkpoint", edit("params", value=[1])),
@@ -642,6 +665,8 @@ PROBES = [
                                                     value=math.nan)),
     ("checkpoint-400-digit-parameter", "checkpoint", edit("params", "head_b", "data", 0,
                                                           value=10 ** 400)),
+    ("checkpoint-string-parameter", "checkpoint", edit("params", "head_b", "data", 0,
+                                                       value="0.5")),
     ("sweep-not-json", "sweep", fixed(b'{"cells": [}')),
     ("sweep-nan-kappa", "sweep", edit("cells", 0, "kappa", value=math.nan)),
     ("sweep-string-epsilon", "sweep", edit("cells", 0, "epsilon", value="0.45")),
@@ -649,8 +674,10 @@ PROBES = [
     ("sweep-no-cells", "sweep", edit("cells", value=[])),
     ("sweep-1d-adversarial", "sweep", edit("cells", 0, "adversarial", 0,
                                            value=[0.4] * SEQUENCE_SHAPE[1])),
+    ("sweep-string-adversarial", "sweep", edit("cells", 0, "adversarial", 0, 2, 1, value="0.4")),
     ("result-root-list", "result", fixed(b"[]")),
     ("result-nan-natural", "result", edit("natural", 2, 1, value=math.nan)),
+    ("result-string-natural", "result", edit("natural", 2, 1, value="0.4")),
     ("result-without-adversarial", "result", edit("adversarial", delete=True)),
 ]
 

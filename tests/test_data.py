@@ -230,6 +230,13 @@ def test_read_dataset_rejects_non_finite_coordinates(tmp_path):
         data.read_dataset(path)
 
 
+@pytest.mark.parametrize("value", [["0.5", "1e2"], "1.5", True, [[True, False]],
+                                   [[0.5, "0.25"]]])
+def test_array_from_json_refuses_non_numbers(value):
+    with pytest.raises(ValueError, match="not a number"):
+        data.array_from_json(value)
+
+
 def test_write_json_failure_leaves_existing_file_and_no_temp(tmp_path):
     path = tmp_path / "out.json"
     data.write_json(path, {"b": [1.5, -0.0], "a": "x"})

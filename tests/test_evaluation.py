@@ -160,7 +160,8 @@ def test_sweep_single_cell_shape(bench):
 def test_sweep_requires_inputs(bench):
     records, held, inputs, model = bench
     with pytest.raises(evaluation.EvaluationError, match="no test inputs"):
-        evaluation.whitebox_sweep(model, "m", [], [], epsilon_grid=[0.3])
+        evaluation.whitebox_sweep(model, "m", [], [], epsilon_grid=[0.3],
+                                  base_cfg=attack.AttackConfig())
 
 
 def test_sweep_reports_each_attack_in_order_and_judges_each_cell_once(bench, monkeypatch):
