@@ -38,13 +38,12 @@ class ShapeError(ValueError):
 class Tensor:
     """Node of the computation graph: a float64 array plus its adjoint."""
 
-    __slots__ = ("value", "grad", "requires_grad", "op", "_children", "_backward_fn")
+    __slots__ = ("value", "grad", "requires_grad", "_children", "_backward_fn")
 
-    def __init__(self, value, requires_grad: bool = False, op: str = "leaf"):
+    def __init__(self, value, requires_grad: bool = False):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self.op = op
         self._children: tuple[Tensor, ...] = ()
         self._backward_fn: Callable[[np.ndarray], None] | None = None
 
@@ -67,14 +66,11 @@ class Tensor:
                 self.grad = np.zeros_like(self.value)
             self.grad[index] += g
 
-    def __repr__(self) -> str:
-        return f"Tensor(op={self.op!r}, shape={self.value.shape})"
 
-
-def _result(value: np.ndarray, op: str, children: tuple[Tensor, ...],
+def _result(value: np.ndarray, children: tuple[Tensor, ...],
             backward_fn: Callable[[np.ndarray], None]) -> Tensor:
     """Wrap an op result; the backward closure is kept only on live paths."""
-    out = Tensor(value, op=op)
+    out = Tensor(value)
     if any(c.requires_grad for c in children):
         out.requires_grad = True
         out._children = children
@@ -136,7 +132,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b.accumulate(_bias_adjoint(g) if row_bias else g)
 
-    return _result(va + vb, "add", (a, b), backward_fn)
+    return _result(va + vb, (a, b), backward_fn)
 
 
 def subtract(a: Tensor, b: Tensor) -> Tensor:
@@ -149,7 +145,7 @@ def subtract(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b.accumulate(-(_bias_adjoint(g) if row_bias else g))
 
-    return _result(va - vb, "subtract", (a, b), backward_fn)
+    return _result(va - vb, (a, b), backward_fn)
 
 
 def scalar_multiply(a: Tensor, scalar: float) -> Tensor:
@@ -158,7 +154,7 @@ def scalar_multiply(a: Tensor, scalar: float) -> Tensor:
     def backward_fn(g):
         a.accumulate(g * s)
 
-    return _result(a.value * s, "scalar_multiply", (a,), backward_fn)
+    return _result(a.value * s, (a,), backward_fn)
 
 
 def multiply(a: Tensor, b: Tensor) -> Tensor:
@@ -172,7 +168,7 @@ def multiply(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b.accumulate(g * va)
 
-    return _result(va * vb, "multiply", (a, b), backward_fn)
+    return _result(va * vb, (a, b), backward_fn)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -186,7 +182,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b.accumulate(_weight_adjoint(va, g))
 
-    return _result(_rows_times(va, vb), "matmul", (a, b), backward_fn)
+    return _result(_rows_times(va, vb), (a, b), backward_fn)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -195,7 +191,7 @@ def relu(a: Tensor) -> Tensor:
     def backward_fn(g):
         a.accumulate(g * (va > 0.0))
 
-    return _result(np.maximum(va, 0.0), "relu", (a,), backward_fn)
+    return _result(np.maximum(va, 0.0), (a,), backward_fn)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -204,7 +200,7 @@ def tanh(a: Tensor) -> Tensor:
     def backward_fn(g):
         a.accumulate(g * (1.0 - out * out))
 
-    return _result(out, "tanh", (a,), backward_fn)
+    return _result(out, (a,), backward_fn)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -213,7 +209,7 @@ def sigmoid(a: Tensor) -> Tensor:
     def backward_fn(g):
         a.accumulate(g * out * (1.0 - out))
 
-    return _result(out, "sigmoid", (a,), backward_fn)
+    return _result(out, (a,), backward_fn)
 
 
 def absolute(a: Tensor) -> Tensor:
@@ -223,14 +219,14 @@ def absolute(a: Tensor) -> Tensor:
     def backward_fn(g):
         a.accumulate(g * np.sign(va))
 
-    return _result(np.abs(va), "absolute", (a,), backward_fn)
+    return _result(np.abs(va), (a,), backward_fn)
 
 
 def sum_reduce(a: Tensor) -> Tensor:
     def backward_fn(g):
         a.accumulate(np.full_like(a.value, float(g)))
 
-    return _result(np.sum(a.value), "sum_reduce", (a,), backward_fn)
+    return _result(np.sum(a.value), (a,), backward_fn)
 
 
 def l2_norm(a: Tensor, axis: int = -1) -> Tensor:
@@ -244,7 +240,7 @@ def l2_norm(a: Tensor, axis: int = -1) -> Tensor:
         scale = np.expand_dims(g / safe, axis=axis)
         a.accumulate(scale * va)
 
-    return _result(norms, "l2_norm", (a,), backward_fn)
+    return _result(norms, (a,), backward_fn)
 
 
 def concat_time(parts: Sequence[Tensor]) -> Tensor:
@@ -263,8 +259,7 @@ def concat_time(parts: Sequence[Tensor]) -> Tensor:
             if p.requires_grad:
                 p.accumulate(g[lo:hi])
 
-    return _result(np.concatenate([p.value for p in parts], axis=0),
-                   "concat_time", parts, backward_fn)
+    return _result(np.concatenate([p.value for p in parts], axis=0), parts, backward_fn)
 
 
 def slice_axis(a: Tensor, start: int, stop: int, axis: int = 0) -> Tensor:
@@ -279,7 +274,7 @@ def slice_axis(a: Tensor, start: int, stop: int, axis: int = 0) -> Tensor:
     def backward_fn(g):
         a.accumulate(g, index)
 
-    return _result(va[index].copy(), "slice", (a,), backward_fn)
+    return _result(va[index].copy(), (a,), backward_fn)
 
 
 def causal_conv1d(x: Tensor, w: Tensor, dilation: int = 1) -> Tensor:
@@ -322,7 +317,7 @@ def causal_conv1d(x: Tensor, w: Tensor, dilation: int = 1) -> Tensor:
                 gp[..., window, :] += g @ vw[k].T
             x.accumulate(gp[..., pad:, :])
 
-    return _result(out, "causal_conv1d", (x, w), backward_fn)
+    return _result(out, (x, w), backward_fn)
 
 
 def gru_layer(xp: Tensor, u: Tensor, bh: Tensor) -> Tensor:
@@ -397,7 +392,7 @@ def gru_layer(xp: Tensor, u: Tensor, bh: Tensor) -> Tensor:
             # over the frames, then over the batch
             bh.accumulate(dhu.sum(axis=0).sum(axis=0))
 
-    return _result(out.reshape(vx.shape[:-1] + (hidden,)), "gru_layer", (xp, u, bh), backward_fn)
+    return _result(out.reshape(vx.shape[:-1] + (hidden,)), (xp, u, bh), backward_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -83,10 +83,6 @@ class SkeletonSequence:
     def num_frames(self) -> int:
         return self.joints.shape[0]
 
-    @property
-    def num_joints(self) -> int:
-        return self.joints.shape[1]
-
     def flat(self) -> np.ndarray:
         """Frames flattened joint-major to (T, 3N); order is (x, y, depth)."""
         t, n, _ = self.joints.shape

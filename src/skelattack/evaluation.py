@@ -7,11 +7,11 @@ reaction.  Per-reaction tolerances come from a built-in table of values
 judged by human observers; reactions missing from the table fall back
 to the mean of the present entries.
 
-Every success flag (sweep cells, transfer) and derived tolerance comes
+Every distance sum (sweep cells, transfer, derived tolerances) comes
 from judge(): a batched forward pass of the judging model over stored
-sequences, never the attack's cached numbers.  So feeding sequences back
-into the model that produced them reproduces the white-box flags bit for
-bit.
+sequences, never the attack's cached numbers.  A cell stores its sums
+and derives its flags; sweeps and transfer share one judging path, so
+re-judging a sweep under its own model reproduces it bit for bit.
 """
 
 from __future__ import annotations
@@ -62,9 +62,12 @@ class CellResult:
     objective: str
     epsilon: float
     kappa: float
-    flags: list[bool]
     sums: list[float]
     adversarial: list[np.ndarray]
+
+    @property
+    def flags(self) -> list[bool]:
+        return [total < self.kappa for total in self.sums]
 
     @property
     def rate(self) -> float:
@@ -116,13 +119,12 @@ def make_objectives(records: list[InteractionRecord],
     """
     rng = np.random.default_rng(seed)
     objectives = []
-    prefer = set(prefer_ids) if prefer_ids is not None else None
+    prefer = set(prefer_ids or ())
     for label in categories:
         candidates = [r for r in records if r.category == label]
-        if prefer is not None:
-            held = [r for r in candidates if r.set_id in prefer]
-            if held:
-                candidates = held
+        held = [r for r in candidates if r.set_id in prefer]
+        if held:
+            candidates = held
         if not candidates:
             raise EvaluationError(f"no records of category {label!r} to sample a target from")
         pick = candidates[int(rng.integers(len(candidates)))]
@@ -140,8 +142,7 @@ def derive_kappa(model, inputs: list[SkeletonSequence], objective: Objective,
     if not inputs:
         raise EvaluationError("no test inputs to derive a tolerance from")
     fitted = [fit_target_length(objective.target, seq.num_frames).flat() for seq in inputs]
-    _, sums = judge(model, [s.flat() for s in inputs], fitted, [objective.kappa] * len(inputs))
-    return float(np.percentile(sums, percentile))
+    return float(np.percentile(judge(model, [s.flat() for s in inputs], fitted), percentile))
 
 
 # ---------------------------------------------------------------------------
@@ -154,13 +155,12 @@ def derive_kappa(model, inputs: list[SkeletonSequence], objective: Objective,
 _TRANSFER_BYTES = 2 ** 20
 
 
-def judge(model, sequences: list[np.ndarray], targets: list[np.ndarray],
-          kappas: list[float]) -> tuple[list[bool], list[float]]:
-    """Each sequence's success flag and distance sum under `model`'s forward pass.
+def judge(model, sequences: list[np.ndarray], targets: list[np.ndarray]) -> list[float]:
+    """Each sequence's distance sum to its target under `model`'s forward pass.
 
-    Success is a distance sum below the sequence's kappa.  Sequences of one
-    shape share batched passes, as many rows per pass as _TRANSFER_BYTES
-    allows; a row's output and sum are bitwise its own, so batching changes nothing.
+    Sequences of one shape share batched passes, as many rows per pass as
+    _TRANSFER_BYTES allows; a row's output and sum are bitwise its own, so
+    batching changes nothing.
     """
     by_shape: dict[tuple, list[int]] = {}
     for i, seq in enumerate(sequences):
@@ -175,7 +175,17 @@ def judge(model, sequences: list[np.ndarray], targets: list[np.ndarray],
             totals = distance_sum(rows, np.stack([targets[i] for i in chunk]))
             for i, total in zip(chunk, totals):
                 sums[i] = total
-    return [total < kappa for total, kappa in zip(sums, kappas)], sums
+    return sums
+
+
+def _judged(model, objectives: list[Objective], cells: list[CellResult]) -> list[CellResult]:
+    """`cells` with their distance sums under `model`, all from one judge() call."""
+    targets = {o.label: o.target for o in objectives}
+    pairs = [(cell, adv) for cell in cells for adv in cell.adversarial]
+    sums = iter(judge(model, [adv for _, adv in pairs],
+                      [fit_target_length(targets[c.objective], adv.shape[0]).flat()
+                       for c, adv in pairs]))
+    return [replace(cell, sums=[next(sums) for _ in cell.adversarial]) for cell in cells]
 
 
 def whitebox_sweep(model, model_id: str,
@@ -186,10 +196,13 @@ def whitebox_sweep(model, model_id: str,
                    on_result=None) -> SweepReport:
     """Attack every (sample, objective, epsilon) cell and aggregate rates.
 
-    `on_result` sees each attack as it ends; a cell is judged after its attacks.
+    `on_result` sees each attack as it ends; a cell is judged right after its
+    attacks, by the path blackbox_transfer judges with.
     """
     if not inputs:
         raise EvaluationError("no test inputs to attack")
+    if len({o.label for o in objectives}) != len(objectives):
+        raise EvaluationError("objectives repeat a label, which names each cell's target")
     grid = list(epsilon_grid)
     report = SweepReport(model_id=model_id, epsilon_grid=grid, objectives=objectives)
     for objective in objectives:
@@ -202,32 +215,15 @@ def whitebox_sweep(model, model_id: str,
                 advs.append(result.adversarial.flat())
                 if on_result is not None:
                     on_result(objective.label, eps, result)
-            flags, sums = judge(model, advs, [t.flat() for t in targets],
-                                [objective.kappa] * len(advs))
-            report.cells.append(CellResult(
-                objective=objective.label, epsilon=eps, kappa=objective.kappa,
-                flags=flags, sums=sums, adversarial=advs))
+            cell = CellResult(objective.label, eps, objective.kappa, sums=[], adversarial=advs)
+            report.cells += _judged(model, [objective], [cell])
     return report
 
 
 def blackbox_transfer(sweep: SweepReport, receiver, receiver_id: str) -> TransferEntry:
-    """Re-judge a sweep's adversarial sequences under another model.
-
-    All cells go to one judge() call, so sequences of one shape share
-    batched passes across cells.
-    """
-    targets = {o.label: o.target for o in sweep.objectives}
-    pairs = [(cell, adv) for cell in sweep.cells for adv in cell.adversarial]
-    flags, sums = judge(receiver, [adv for _, adv in pairs],
-                        [fit_target_length(targets[c.objective], adv.shape[0]).flat()
-                         for c, adv in pairs], [c.kappa for c, _ in pairs])
-    entry = TransferEntry(source_id=sweep.model_id, receiver_id=receiver_id)
-    lo = 0
-    for cell in sweep.cells:
-        hi = lo + len(cell.adversarial)
-        entry.cells.append(replace(cell, flags=flags[lo:hi], sums=sums[lo:hi]))
-        lo = hi
-    return entry
+    """Re-judge a sweep's adversarial sequences under another model."""
+    return TransferEntry(source_id=sweep.model_id, receiver_id=receiver_id,
+                         cells=_judged(receiver, sweep.objectives, sweep.cells))
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +251,7 @@ def write_csv(rows: list[dict], path) -> None:
     headers = list(rows[0])
     lines = [",".join(headers)]
     for row in rows:
-        lines.append(",".join(repr(row[h]) if isinstance(row[h], float) else str(row[h])
-                              for h in headers))
+        lines.append(",".join(str(row[h]) for h in headers))
     with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -304,6 +299,8 @@ def _sweep_from_json(payload: dict) -> SweepReport:
         for o in payload["objectives"]
     ]
     widths = {o.label: o.target.flat().shape[1] for o in objectives}
+    if len(widths) != len(objectives):
+        raise ValueError("the sweep lists an objective label twice")
     report = SweepReport(model_id=payload["model_id"],
                          epsilon_grid=[_finite_number(e) for e in payload["epsilon_grid"]],
                          objectives=objectives)
@@ -318,10 +315,15 @@ def _sweep_from_json(payload: dict) -> SweepReport:
             if a.ndim != 2 or a.shape[1] != widths[c["objective"]]:
                 raise ValueError(f"an adversarial sequence of shape {a.shape} for a target "
                                  f"{widths[c['objective']]} coordinates wide")
-        report.cells.append(CellResult(
+        cell = CellResult(
             objective=c["objective"], epsilon=_finite_number(c["epsilon"]),
-            kappa=_finite_number(c["kappa"]), flags=[bool(f) for f in c["flags"]],
-            sums=[_finite_number(v) for v in c["sums"]], adversarial=adversarial))
+            kappa=_finite_number(c["kappa"]), sums=[_finite_number(v) for v in c["sums"]],
+            adversarial=adversarial)
+        if len(cell.sums) != len(adversarial):
+            raise ValueError(f"a cell holds {len(cell.sums)} sums for {len(adversarial)} sequences")
+        if c["flags"] != cell.flags or any(type(f) is not bool for f in c["flags"]):
+            raise ValueError("a cell's flags are not its distance sums below its kappa")
+        report.cells.append(cell)
     if not report.cells:
         raise ValueError("the sweep holds no cells")
     return report

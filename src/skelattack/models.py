@@ -132,8 +132,7 @@ class SequenceRegressor:
         raise NotImplementedError
 
     def param_tensors(self, trainable: bool) -> dict[str, ad.Tensor]:
-        return {k: ad.Tensor(v, requires_grad=trainable, op="param")
-                for k, v in self.params.items()}
+        return {k: ad.Tensor(v, requires_grad=trainable) for k, v in self.params.items()}
 
     def forward(self, x: ad.Tensor) -> ad.Tensor:
         if x.value.ndim not in (2, 3) or x.value.shape[-1] != self.in_dim:

@@ -297,7 +297,7 @@ def run_attack_every_step(model, x, cfg, on_step=None):
     # a diverging attack ends in AttackDivergedError, not in numpy warnings
     with np.errstate(all="ignore"):
         for m in range(cfg.steps + 1):
-            xt = ad.Tensor(x_adv, requires_grad=True, op="input")
+            xt = ad.Tensor(x_adv, requires_grad=True)
             loss, output = attack.adv_loss(model, xt, target, cfg)
             loss_value = float(loss.value)
             if not math.isfinite(loss_value):

@@ -112,7 +112,7 @@ def test_temporal_loss_gradient_same_as_zero_filled_slice_adjoint(monkeypatch):
             full[start:stop] = g
             a.accumulate(full)
 
-        return ad._result(a.value[start:stop].copy(), "slice", (a,), backward_fn)
+        return ad._result(a.value[start:stop].copy(), (a,), backward_fn)
 
     x = np.random.default_rng(11).uniform(0.1, 0.9, size=(9, 6))
     grads = []

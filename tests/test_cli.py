@@ -672,6 +672,7 @@ PROBES = [
     ("sweep-string-epsilon", "sweep", edit("cells", 0, "epsilon", value="0.45")),
     ("sweep-unknown-objective", "sweep", edit("cells", 0, "objective", value="waving")),
     ("sweep-no-cells", "sweep", edit("cells", value=[])),
+    ("sweep-string-flags", "sweep", edit("cells", 0, "flags", value=["false"])),
     ("sweep-1d-adversarial", "sweep", edit("cells", 0, "adversarial", 0,
                                            value=[0.4] * SEQUENCE_SHAPE[1])),
     ("sweep-string-adversarial", "sweep", edit("cells", 0, "adversarial", 0, 2, 1, value="0.4")),

@@ -164,6 +164,15 @@ def test_sweep_requires_inputs(bench):
                                   base_cfg=attack.AttackConfig())
 
 
+def test_sweep_refuses_objectives_that_repeat_a_label(bench):
+    # cells name their objective by label, so a repeated label has no one target
+    records, held, inputs, model = bench
+    objectives = [evaluation.Objective("kicking", records[i].reactor.copy(), 6.0) for i in (4, 6)]
+    with pytest.raises(evaluation.EvaluationError, match="repeat a label"):
+        evaluation.whitebox_sweep(model, "m", inputs[:1], objectives, epsilon_grid=[0.3],
+                                  base_cfg=attack.AttackConfig(steps=2))
+
+
 def test_sweep_reports_each_attack_in_order_and_judges_each_cell_once(bench, monkeypatch):
     records, held, inputs, model = bench
     objectives = [evaluation.Objective(label, records[i].reactor.copy(), 6.0)
@@ -210,8 +219,7 @@ def test_rate_permutation_invariant(bench):
     order = rng.permutation(len(cell.flags))
     shuffled = evaluation.CellResult(
         objective=cell.objective, epsilon=cell.epsilon, kappa=cell.kappa,
-        flags=[cell.flags[i] for i in order], sums=[cell.sums[i] for i in order],
-        adversarial=[cell.adversarial[i] for i in order])
+        sums=[cell.sums[i] for i in order], adversarial=[cell.adversarial[i] for i in order])
     assert shuffled.rate == rate
 
 
@@ -329,4 +337,35 @@ def test_load_sweep_rejects_non_finite_sequences(where, bench, tmp_path):
         payload["cells"][1]["adversarial"][0][3][0] = math.nan
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(evaluation.EvaluationError, match="non-finite"):
+        evaluation.load_sweep(path)
+
+
+def write_sweep_file(path, objectives, flags, sums, sequences):
+    seq = np.full((3, 6), 0.4).tolist()
+    payload = {"model_id": "tcn", "epsilon_grid": [0.45],
+               "objectives": [{"label": label, "kappa": 1.0, "target": np.full((3, 6), fill).tolist()}
+                              for label, fill in objectives],
+               "cells": [{"objective": objectives[0][0], "epsilon": 0.45, "kappa": 1.0,
+                          "flags": flags, "sums": sums, "adversarial": [seq] * sequences}]}
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+
+@pytest.mark.parametrize("flags,sums,sequences", [
+    (["false", "no", [0], None], [2.0] * 4, 4),
+    ([True, False] * 4, [0.5, 2.0] * 4, 2),
+    ([True, True], [0.5, 2.0], 2),
+], ids=["flags-not-booleans", "eight-flags-two-sequences", "flag-its-sum-does-not-give"])
+def test_load_sweep_refuses_flags_its_sums_do_not_give(flags, sums, sequences, tmp_path):
+    # a cell's flags are its sums below its kappa, one per adversarial sequence
+    path = tmp_path / "sweep.json"
+    write_sweep_file(path, [("kicking", 0.4)], flags, sums, sequences)
+    with pytest.raises(evaluation.EvaluationError, match="malformed sweep"):
+        evaluation.load_sweep(path)
+
+
+def test_load_sweep_refuses_an_objective_label_listed_twice(tmp_path):
+    # transfer looks a cell's target up by label, so two targets under one label are ambiguous
+    path = tmp_path / "sweep.json"
+    write_sweep_file(path, [("kicking", 0.4), ("kicking", 0.6)], [False], [2.0], 1)
+    with pytest.raises(evaluation.EvaluationError, match="label twice"):
         evaluation.load_sweep(path)

@@ -99,7 +99,7 @@ def inputs(tmp_path_factory):
     report = evaluation.SweepReport(
         model_id="tcn", epsilon_grid=[0.45],
         objectives=[evaluation.Objective("kicking", data.SkeletonSequence.from_flat(seq), 1.0)],
-        cells=[evaluation.CellResult("kicking", 0.45, 1.0, [False], [1.0], [seq])])
+        cells=[evaluation.CellResult("kicking", 0.45, 1.0, [1.0], [seq])])
     evaluation.save_sweep(report, root / "sweep.json")
 
     def read(name):
