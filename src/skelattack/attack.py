@@ -32,10 +32,7 @@ from .optim import AdamState, adam_update
 
 EPSILON_GRID = (0.075, 0.15, 0.225, 0.3, 0.375, 0.45)
 
-DEFAULT_ALPHA = 0.03
-DEFAULT_STEPS = 400
 DEFAULT_LAMBDA = 0.1
-DEFAULT_ADAM_LR = 1e-3
 _CYCLE_WINDOW = 16  # the latest iterates a sign-rule update is checked against
 
 
@@ -56,12 +53,12 @@ class AttackConfig:
     target: SkeletonSequence | np.ndarray | None = None
     kappa: float | None = None
     epsilon: float = 0.45
-    alpha: float = DEFAULT_ALPHA
-    steps: int = DEFAULT_STEPS
+    alpha: float = 0.03
+    steps: int = 400
     lam: float = DEFAULT_LAMBDA
     mask: str = "depth"
     update_rule: str = "pgd"
-    adam_lr: float = DEFAULT_ADAM_LR
+    adam_lr: float = 1e-3
 
     def __post_init__(self):
         # written so that NaN fails every check

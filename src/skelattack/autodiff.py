@@ -29,8 +29,6 @@ class ShapeError(ValueError):
     """Operand shapes incompatible with an operation."""
 
     def __init__(self, op: str, *shapes):
-        self.op = op
-        self.shapes = tuple(shapes)
         pretty = ", ".join(str(s) for s in shapes)
         super().__init__(f"{op}: incompatible shapes ({pretty})")
 
@@ -46,10 +44,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self._children: tuple[Tensor, ...] = ()
         self._backward_fn: Callable[[np.ndarray], None] | None = None
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.value.shape
 
     def accumulate(self, g: np.ndarray, index=None) -> None:
         """Add `g` onto the adjoint, or onto its `index` part only.

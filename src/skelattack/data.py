@@ -126,8 +126,9 @@ class InteractionRecord:
 
 @dataclass
 class DatasetSplit:
+    """The training pairs, wrapped so that models.train can tell them from a plain list."""
+
     train: list[tuple[SkeletonSequence, SkeletonSequence]] = field(default_factory=list)
-    test: list[tuple[SkeletonSequence, SkeletonSequence]] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -306,13 +307,10 @@ def make_pairs(record: InteractionRecord) -> list[tuple[SkeletonSequence, Skelet
 def split_by_sets(records: list[InteractionRecord],
                   held_out_ids=DEFAULT_HELD_OUT_SETS) -> DatasetSplit:
     held = set(held_out_ids)
-    split = DatasetSplit()
-    for record in records:
-        bucket = split.test if record.set_id in held else split.train
-        bucket.extend(make_pairs(record))
+    split = DatasetSplit([p for r in records if r.set_id not in held for p in make_pairs(r)])
     if not split.train:
         raise DataError("held-out ids leave the training partition empty")
-    if not split.test:
+    if not held_out_records(records, held):
         raise DataError("held-out ids leave the test partition empty")
     return split
 

@@ -16,6 +16,7 @@ re-judging a sweep under its own model reproduces it bit for bit.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -280,6 +281,8 @@ def save_sweep(report: SweepReport, path) -> None:
 
 
 def load_sweep(path) -> SweepReport:
+    """save_sweep's layout: a cell per product(objectives, epsilon_grid) slot, in that order,
+    repeating its slot's label, epsilon and kappa beside a flag, sum and sequence per sample."""
     return read_json(path, EvaluationError(f"malformed sweep file {path}"), _sweep_from_json)
 
 
@@ -298,27 +301,27 @@ def _sweep_from_json(payload: dict) -> SweepReport:
                   kappa=_finite_number(o["kappa"]))
         for o in payload["objectives"]
     ]
-    widths = {o.label: o.target.flat().shape[1] for o in objectives}
-    if len(widths) != len(objectives):
+    if len({o.label for o in objectives}) != len(objectives):
         raise ValueError("the sweep lists an objective label twice")
-    report = SweepReport(model_id=payload["model_id"],
-                         epsilon_grid=[_finite_number(e) for e in payload["epsilon_grid"]],
-                         objectives=objectives)
-    for c in payload["cells"]:
-        if c["objective"] not in widths:
-            raise ValueError(f"a cell names objective {c['objective']!r}, "
-                             f"which the sweep does not list")
+    grid = [_finite_number(e) for e in payload["epsilon_grid"]]
+    report = SweepReport(model_id=payload["model_id"], epsilon_grid=grid, objectives=objectives)
+    if len(payload["cells"]) != len(objectives) * len(grid):
+        raise ValueError(f"{len(payload['cells'])} cells for {len(objectives)} objectives "
+                         f"× {len(grid)} epsilons")
+    for (objective, eps), c in zip(itertools.product(objectives, grid), payload["cells"]):
+        slot = (objective.label, eps, objective.kappa)
+        if (c["objective"], _finite_number(c["epsilon"]), _finite_number(c["kappa"])) != slot:
+            raise ValueError(f"a cell is not its slot's (objective, epsilon, kappa) {slot}")
+        width = objective.target.flat().shape[1]
         adversarial = [array_from_json(a) for a in c["adversarial"]]
         if not adversarial:
             raise ValueError("a cell holds no adversarial sequences")
         for a in adversarial:
-            if a.ndim != 2 or a.shape[1] != widths[c["objective"]]:
+            if a.ndim != 2 or a.shape[1] != width:
                 raise ValueError(f"an adversarial sequence of shape {a.shape} for a target "
-                                 f"{widths[c['objective']]} coordinates wide")
-        cell = CellResult(
-            objective=c["objective"], epsilon=_finite_number(c["epsilon"]),
-            kappa=_finite_number(c["kappa"]), sums=[_finite_number(v) for v in c["sums"]],
-            adversarial=adversarial)
+                                 f"{width} coordinates wide")
+        cell = CellResult(objective=objective.label, epsilon=eps, kappa=objective.kappa,
+                          sums=[_finite_number(v) for v in c["sums"]], adversarial=adversarial)
         if len(cell.sums) != len(adversarial):
             raise ValueError(f"a cell holds {len(cell.sums)} sums for {len(adversarial)} sequences")
         if c["flags"] != cell.flags or any(type(f) is not bool for f in c["flags"]):

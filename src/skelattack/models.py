@@ -106,8 +106,6 @@ def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int)
 class SequenceRegressor:
     """Shared plumbing: parameter tensors, prediction, causal forward."""
 
-    arch = "base"
-
     def __init__(self, config, seed: int = 0,
                  params: dict[str, np.ndarray] | None = None):
         self.config = config

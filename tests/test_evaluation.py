@@ -340,6 +340,44 @@ def test_load_sweep_rejects_non_finite_sequences(where, bench, tmp_path):
         evaluation.load_sweep(path)
 
 
+def kappa_1e9(cells):
+    cells[0].update(kappa=1e9, flags=[True] * len(cells[0]["sums"]))
+
+
+def epsilon_off_the_grid(cells):
+    cells[1]["epsilon"] = 0.3
+
+
+def cell_repeated(cells):
+    cells[1] = cells[0]
+
+
+def cells_swapped(cells):
+    cells.reverse()
+
+
+def cell_missing(cells):
+    del cells[1]
+
+
+@pytest.mark.parametrize("tamper,message", [
+    (kappa_1e9, "not its slot"), (epsilon_off_the_grid, "not its slot"),
+    (cell_repeated, "not its slot"), (cells_swapped, "not its slot"),
+    (cell_missing, "1 cells for 1 objectives × 2 epsilons"),
+], ids=["kappa-1e9", "epsilon-off-the-grid", "cell-repeated", "cells-swapped", "cell-missing"])
+def test_load_sweep_refuses_a_cell_that_is_not_its_grid_slot(tamper, message, bench, tmp_path):
+    # cell i is the i-th (objective, epsilon) of product(objectives, epsilon_grid),
+    # with that objective's kappa; transfer judges each cell by its slot
+    report, _ = sweep_fixture(bench, 6.0)
+    path = tmp_path / "sweep.json"
+    evaluation.save_sweep(report, path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    tamper(payload["cells"])
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(evaluation.EvaluationError, match=message):
+        evaluation.load_sweep(path)
+
+
 def write_sweep_file(path, objectives, flags, sums, sequences):
     seq = np.full((3, 6), 0.4).tolist()
     payload = {"model_id": "tcn", "epsilon_grid": [0.45],
