@@ -33,9 +33,8 @@ from .attack import (EPSILON_GRID, SETTINGS, AttackConfig, AttackError, result_t
 from .data import (CATEGORIES, DEFAULT_HELD_OUT_SETS, SkeletonSequence, array_from_json,
                    held_out_records, read_dataset, read_json, split_by_sets, synth_generate,
                    write_dataset, write_json)
-from .evaluation import (DEFAULT_TOLERANCES, blackbox_transfer, fit_target_length,
-                         load_sweep, make_objectives, report_rows, save_sweep,
-                         transfer_rows, whitebox_sweep, write_csv)
+from .evaluation import (DEFAULT_TOLERANCES, blackbox_transfer, cell_rows, fit_target_length,
+                         load_sweep, make_objectives, save_sweep, whitebox_sweep, write_csv)
 from .models import (ARCHITECTURES, GRU_PRESETS, TCN_PRESETS, ModelError, TrainConfig,
                      create_model, load_model, save_model, train)
 
@@ -310,7 +309,7 @@ def cmd_eval(args, config: dict) -> int:
     report = whitebox_sweep(model, model_id, inputs, objectives,
                             epsilon_grid=ecfg["epsilon_grid"], base_cfg=base)
     with _artifacts(args, config, ecfg["seed"]) as (out, outputs):
-        write_csv(report_rows(report), out / "report.csv")
+        write_csv(cell_rows({"model": report.model_id}, report.cells), out / "report.csv")
         save_sweep(report, out / "sweep.json")
         summary = {
             "model": model_id,
@@ -329,11 +328,12 @@ def cmd_transfer(args, config: dict) -> int:
     sweep = load_sweep(args.sweep)
     receiver = load_model(args.model_path)
     receiver_id = f"{receiver.arch}:{Path(args.model_path).name}"
-    entry = blackbox_transfer(sweep, receiver, receiver_id)
+    judged = blackbox_transfer(sweep, receiver, receiver_id)
     with _artifacts(args, config, 0) as (out, outputs):
-        write_csv(transfer_rows(entry), out / "transfer.csv")
+        write_csv(cell_rows({"source": sweep.model_id, "receiver": receiver_id}, judged.cells),
+                  out / "transfer.csv")
         outputs.append("transfer.csv")
-    rates = [c.rate for c in entry.cells]
+    rates = [c.rate for c in judged.cells]
     print(f"transfer {sweep.model_id} -> {receiver_id}: "
           f"mean rate {sum(rates) / len(rates):.3f}")
     return 0

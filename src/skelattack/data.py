@@ -56,7 +56,6 @@ class DataError(ValueError):
 
 class ParseError(DataError):
     def __init__(self, message: str, line: int | None = None):
-        self.line = line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)

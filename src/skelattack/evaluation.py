@@ -10,8 +10,9 @@ to the mean of the present entries.
 Every distance sum (sweep cells, transfer, derived tolerances) comes
 from judge(): a batched forward pass of the judging model over stored
 sequences, never the attack's cached numbers.  A cell stores its sums
-and derives its flags; sweeps and transfer share one judging path, so
-re-judging a sweep under its own model reproduces it bit for bit.
+and derives its flags.  A transfer is a SweepReport of the receiving
+model, and a white-box sweep is its attacks transferred onto the attacked
+model, so re-judging a sweep under its own model reproduces it bit for bit.
 """
 
 from __future__ import annotations
@@ -85,13 +86,6 @@ class SweepReport:
     def mean_rate(self, epsilon: float) -> float:
         rates = [c.rate for c in self.cells if c.epsilon == epsilon]
         return sum(rates) / len(rates)
-
-
-@dataclass
-class TransferEntry:
-    source_id: str
-    receiver_id: str
-    cells: list[CellResult] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -179,16 +173,6 @@ def judge(model, sequences: list[np.ndarray], targets: list[np.ndarray]) -> list
     return sums
 
 
-def _judged(model, objectives: list[Objective], cells: list[CellResult]) -> list[CellResult]:
-    """`cells` with their distance sums under `model`, all from one judge() call."""
-    targets = {o.label: o.target for o in objectives}
-    pairs = [(cell, adv) for cell in cells for adv in cell.adversarial]
-    sums = iter(judge(model, [adv for _, adv in pairs],
-                      [fit_target_length(targets[c.objective], adv.shape[0]).flat()
-                       for c, adv in pairs]))
-    return [replace(cell, sums=[next(sums) for _ in cell.adversarial]) for cell in cells]
-
-
 def whitebox_sweep(model, model_id: str,
                    inputs: list[SkeletonSequence],
                    objectives: list[Objective],
@@ -197,53 +181,52 @@ def whitebox_sweep(model, model_id: str,
                    on_result=None) -> SweepReport:
     """Attack every (sample, objective, epsilon) cell and aggregate rates.
 
-    `on_result` sees each attack as it ends; a cell is judged right after its
-    attacks, by the path blackbox_transfer judges with.
+    `on_result` sees each attack as it ends.  The cells are judged once, after
+    the last attack: a white-box sweep is its attacks transferred onto the
+    attacked model, by the one judging path.
     """
     if not inputs:
         raise EvaluationError("no test inputs to attack")
     if len({o.label for o in objectives}) != len(objectives):
         raise EvaluationError("objectives repeat a label, which names each cell's target")
     grid = list(epsilon_grid)
-    report = SweepReport(model_id=model_id, epsilon_grid=grid, objectives=objectives)
-    for objective in objectives:
-        targets = [fit_target_length(objective.target, seq.num_frames) for seq in inputs]
-        for eps in grid:
-            advs = []
-            for seq, target in zip(inputs, targets):
-                cfg = replace(base_cfg, target=target, kappa=objective.kappa, epsilon=eps)
-                result = run_attack(model, seq, cfg)
-                advs.append(result.adversarial.flat())
-                if on_result is not None:
-                    on_result(objective.label, eps, result)
-            cell = CellResult(objective.label, eps, objective.kappa, sums=[], adversarial=advs)
-            report.cells += _judged(model, [objective], [cell])
-    return report
+    if len(set(grid)) != len(grid):
+        raise EvaluationError("the epsilon grid repeats a value, which names each cell's slot")
+    cells = []
+    for objective, eps in itertools.product(objectives, grid):
+        advs = []
+        for seq in inputs:
+            target = fit_target_length(objective.target, seq.num_frames)
+            cfg = replace(base_cfg, target=target, kappa=objective.kappa, epsilon=eps)
+            result = run_attack(model, seq, cfg)
+            advs.append(result.adversarial.flat())
+            if on_result is not None:
+                on_result(objective.label, eps, result)
+        cells.append(CellResult(objective.label, eps, objective.kappa, sums=[], adversarial=advs))
+    return blackbox_transfer(SweepReport(model_id, grid, objectives, cells), model, model_id)
 
 
-def blackbox_transfer(sweep: SweepReport, receiver, receiver_id: str) -> TransferEntry:
-    """Re-judge a sweep's adversarial sequences under another model."""
-    return TransferEntry(source_id=sweep.model_id, receiver_id=receiver_id,
-                         cells=_judged(receiver, sweep.objectives, sweep.cells))
+def blackbox_transfer(sweep: SweepReport, receiver, receiver_id: str) -> SweepReport:
+    """`sweep` as judged by `receiver`: its cells' sums all from one judge() call."""
+    targets = {o.label: o.target for o in sweep.objectives}
+    pairs = [(cell, adv) for cell in sweep.cells for adv in cell.adversarial]
+    sums = iter(judge(receiver, [adv for _, adv in pairs],
+                      [fit_target_length(targets[c.objective], adv.shape[0]).flat()
+                       for c, adv in pairs]))
+    return replace(sweep, model_id=receiver_id,
+                   cells=[replace(cell, sums=[next(sums) for _ in cell.adversarial])
+                          for cell in sweep.cells])
 
 
 # ---------------------------------------------------------------------------
 # persistence
 
 
-def _cell_rows(models: dict, cells: list[CellResult]) -> list[dict]:
-    """One CSV row per cell: the `models` columns, then the cell's counts."""
-    return [{**models, "objective": c.objective, "epsilon": c.epsilon,
+def cell_rows(columns: dict, cells: list[CellResult]) -> list[dict]:
+    """One CSV row per cell: the `columns` (which models), then the cell's counts."""
+    return [{**columns, "objective": c.objective, "epsilon": c.epsilon,
              "successes": sum(c.flags), "samples": len(c.flags), "rate": c.rate}
             for c in cells]
-
-
-def report_rows(report: SweepReport) -> list[dict]:
-    return _cell_rows({"model": report.model_id}, report.cells)
-
-
-def transfer_rows(entry: TransferEntry) -> list[dict]:
-    return _cell_rows({"source": entry.source_id, "receiver": entry.receiver_id}, entry.cells)
 
 
 def write_csv(rows: list[dict], path) -> None:
@@ -304,6 +287,8 @@ def _sweep_from_json(payload: dict) -> SweepReport:
     if len({o.label for o in objectives}) != len(objectives):
         raise ValueError("the sweep lists an objective label twice")
     grid = [_finite_number(e) for e in payload["epsilon_grid"]]
+    if len(set(grid)) != len(grid):
+        raise ValueError("the sweep lists an epsilon twice")
     report = SweepReport(model_id=payload["model_id"], epsilon_grid=grid, objectives=objectives)
     if len(payload["cells"]) != len(objectives) * len(grid):
         raise ValueError(f"{len(payload['cells'])} cells for {len(objectives)} objectives "

@@ -39,7 +39,6 @@ class CheckpointError(ModelError):
 class TrainingDivergedError(RuntimeError):
     def __init__(self, epoch: int, loss: float):
         self.epoch = epoch
-        self.loss = loss
         super().__init__(f"training diverged at epoch {epoch}: loss={loss}")
 
 

@@ -298,7 +298,8 @@ def test_transfer_consistency_and_matrix(bench):
             if dst == src:
                 continue
             entry = evaluation.blackbox_transfer(report, bench.models[dst], dst)
-            rows.extend(evaluation.transfer_rows(entry))
+            rows.extend(evaluation.cell_rows({"source": report.model_id, "receiver": dst},
+                                             entry.cells))
             at_full = [c.rate for c in entry.cells if c.epsilon == EPSILON_FULL]
             cross_rates[f"{src}->{dst}"] = sum(at_full) / len(at_full)
     evaluation.write_csv(rows, ARCHIVE_DIR / "transfer_matrix.csv")

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import skelattack
-from skelattack import autodiff, cli, evaluation, models
+from skelattack import attack, autodiff, cli, data, evaluation, models
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -102,6 +102,27 @@ def test_sweep_keys_the_benchmark_reads(artifacts):
             == (loaded.objective, loaded.epsilon, loaded.kappa, loaded.flags)
         for adv, want in zip(cell["adversarial"], loaded.adversarial, strict=True):
             assert np.array_equal(np.array(adv), want)
+
+
+def test_report_fields_the_benchmark_reads(artifacts):
+    # bench/workloads.py checks sweeps and transfers through these fields
+    records = data.read_dataset(artifacts / "data" / "dataset.json")
+    inputs = [r.actor for r in data.held_out_records(records, ["s03s04"])]
+    model = models.load_model(artifacts / "tcn" / "model.json")
+    objectives = evaluation.load_sweep(artifacts / "eval" / "sweep.json").objectives
+    sweep = evaluation.whitebox_sweep(model, "tcn", inputs, objectives, epsilon_grid=[0.1, 0.3],
+                                      base_cfg=attack.AttackConfig(steps=1))
+    assert [o.label for o in sweep.objectives] == ["kicking"]
+    for report in (sweep, evaluation.blackbox_transfer(sweep, model, "identity")):
+        assert [(c.objective, c.epsilon) for c in report.cells] \
+            == [("kicking", 0.1), ("kicking", 0.3)]
+        for cell in report.cells:
+            assert cell.kappa == objectives[0].kappa
+            assert len(cell.flags) == len(cell.sums) == len(cell.adversarial) == len(inputs)
+            assert [type(f) for f in cell.flags] == [bool] * len(inputs)
+            assert [type(s) for s in cell.sums] == [float] * len(inputs)
+            for adv, seq in zip(cell.adversarial, inputs):
+                assert adv.shape == seq.flat().shape
 
 
 def test_result_keys_the_benchmark_reads(artifacts):

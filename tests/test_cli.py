@@ -674,6 +674,9 @@ PROBES = [
     ("sweep-cell-kappa-1e9", "sweep",
      lambda p: edit("cells", 0, value={**p["cells"][0], "kappa": 1e9, "flags": [True]})(p)),
     ("sweep-no-cells", "sweep", edit("cells", value=[])),
+    ("sweep-repeated-epsilon", "sweep",  # the one-cell sweep's epsilon and cell, twice
+     lambda p: json.dumps({**p, "epsilon_grid": p["epsilon_grid"] * 2,
+                           "cells": p["cells"] * 2}).encode("utf-8")),
     ("sweep-string-flags", "sweep", edit("cells", 0, "flags", value=["false"])),
     ("sweep-1d-adversarial", "sweep", edit("cells", 0, "adversarial", 0,
                                            value=[0.4] * SEQUENCE_SHAPE[1])),

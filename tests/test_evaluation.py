@@ -173,6 +173,15 @@ def test_sweep_refuses_objectives_that_repeat_a_label(bench):
                                   base_cfg=attack.AttackConfig(steps=2))
 
 
+def test_sweep_refuses_an_epsilon_grid_that_repeats_a_value(bench):
+    # a cell is named by its (objective, epsilon) slot, which load_sweep reads back
+    records, held, inputs, model = bench
+    objectives = [evaluation.Objective("kicking", records[4].reactor.copy(), 6.0)]
+    with pytest.raises(evaluation.EvaluationError, match="repeats a value"):
+        evaluation.whitebox_sweep(model, "m", inputs[:1], objectives, epsilon_grid=[0.3, 0.3],
+                                  base_cfg=attack.AttackConfig(steps=2))
+
+
 def test_sweep_reports_each_attack_in_order_and_judges_each_cell_once(bench, monkeypatch):
     records, held, inputs, model = bench
     objectives = [evaluation.Objective(label, records[i].reactor.copy(), 6.0)
@@ -191,8 +200,8 @@ def test_sweep_reports_each_attack_in_order_and_judges_each_cell_once(bench, mon
         on_result=lambda label, eps, result: events.append((label, eps, result)))
     expected = []
     for cell in report.cells:
-        expected += [(cell.objective, cell.epsilon)] * len(inputs) + ["judge"]
-    assert [e if e == "judge" else e[:2] for e in events] == expected
+        expected += [(cell.objective, cell.epsilon)] * len(inputs)
+    assert [e if e == "judge" else e[:2] for e in events] == expected + ["judge"]
     results = iter(e[2] for e in events if e != "judge")
     for cell in report.cells:
         for adv in cell.adversarial:
@@ -228,7 +237,8 @@ def test_rate_permutation_invariant(bench):
 def test_transfer_identity_reproduces_whitebox_flags(bench):
     report, model = sweep_fixture(bench, 6.0)
     entry = evaluation.blackbox_transfer(report, model, "tcn:test")
-    assert entry.source_id == "tcn:test" and entry.receiver_id == "tcn:test"
+    assert entry.model_id == "tcn:test"
+    assert entry.epsilon_grid == report.epsilon_grid and entry.objectives == report.objectives
     for wb, tr in zip(report.cells, entry.cells):
         assert wb.flags == tr.flags
         assert wb.sums == tr.sums
@@ -279,7 +289,7 @@ def test_transfer_dimension_mismatch(bench):
 def test_csv_and_sweep_round_trip(bench, tmp_path):
     report, _ = sweep_fixture(bench, 6.0)
     csv_path = tmp_path / "report.csv"
-    evaluation.write_csv(evaluation.report_rows(report), csv_path)
+    evaluation.write_csv(evaluation.cell_rows({"model": report.model_id}, report.cells), csv_path)
     text = csv_path.read_text(encoding="utf-8").splitlines()
     assert text[0] == "model,objective,epsilon,successes,samples,rate"
     assert len(text) == 1 + len(report.cells)
@@ -406,4 +416,16 @@ def test_load_sweep_refuses_an_objective_label_listed_twice(tmp_path):
     path = tmp_path / "sweep.json"
     write_sweep_file(path, [("kicking", 0.4), ("kicking", 0.6)], [False], [2.0], 1)
     with pytest.raises(evaluation.EvaluationError, match="label twice"):
+        evaluation.load_sweep(path)
+
+
+def test_load_sweep_refuses_an_epsilon_listed_twice(tmp_path):
+    # two cells in one (objective, epsilon) slot would give transfer two rows alike
+    path = tmp_path / "sweep.json"
+    write_sweep_file(path, [("kicking", 0.4)], [False], [2.0], 1)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["epsilon_grid"] += payload["epsilon_grid"][-1:]
+    payload["cells"] += payload["cells"][-1:]
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(evaluation.EvaluationError, match="epsilon twice"):
         evaluation.load_sweep(path)
